@@ -3,8 +3,9 @@
 Subcommands: gen-data, train, eval, simulate-coverage, bench-loss.
 Exit codes: 0 success, 2 usage, 3 input validation, 4 numerical failure.
 Structured errors go to stderr as ``error: <code>: <message>``; tabular
-output is always CSV. AUCSEG_THREADS caps worker threads without
-changing any result.
+output is always CSV. bench-loss times the one-vs-one loss of the
+class-pair engine against a sum of all-pairs ``pair_loss_naive`` terms
+over the ordered class pairs, and fails unless the two agree to 1e-9.
 """
 from __future__ import annotations
 
@@ -19,11 +20,10 @@ from .bank import STRATEGIES, BankConfig
 from .coverage import required_batch_size, simulate_coverage, union_bound
 from .errors import NumericalError, ValidationError
 from .grids import class_stats
-from .losses import SURROGATES, ovo_auc_loss, softmax
-from .metrics import (argmax_labels, compute_tau, imbalance_ratio, iou_report,
-                      make_partition, ovo_auc_metric)
+from .losses import SURROGATES, ovo_auc_loss, pair_loss_naive, softmax
+from .metrics import auto_partition, compute_tau, imbalance_ratio
 from .synth import GenConfig, generate, read_segd, write_segd
-from .train import TrainConfig, evaluate, forward, load_model, train_and_save
+from .train import TrainConfig, evaluate, format_number, load_model, train_and_save
 
 
 def _size(text: str):
@@ -50,12 +50,6 @@ def _emit_csv(path, header, rows):
     finally:
         if out is not sys.stdout:
             out.close()
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.10g" % x
 
 
 def cmd_gen_data(args) -> int:
@@ -118,7 +112,8 @@ def cmd_train(args) -> int:
     result = train_and_save(items, cfg, args.out)
     last = result.evals[-1]
     print("finished %d iterations: miou=%s tail_miou=%s ovo_auc=%s (outputs in %s)"
-          % (last.iteration, _fmt(last.miou), _fmt(last.tail_miou), _fmt(last.ovo_auc), args.out))
+          % (last.iteration, format_number(last.miou), format_number(last.tail_miou),
+             format_number(last.ovo_auc), args.out))
     return 0
 
 
@@ -127,10 +122,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     labels = [lab for _, lab in items]
     stats = class_stats(labels)
-    n_occ = int(np.sum(stats.count > 0))
-    head_n = args.head_count or max(1, n_occ // 3)
-    middle_n = args.middle_count or max(1, n_occ // 3)
-    partition = make_partition(stats, head_n, middle_n)
+    partition = auto_partition(stats, args.head_count, args.middle_count)
     report, auc = evaluate(model, items, partition)
     tau = compute_tau(stats)
     tau_norm = compute_tau(stats, mean_normalized=True)
@@ -138,9 +130,9 @@ def cmd_eval(args) -> int:
     _emit_csv(args.out,
               ["miou", "head_miou", "middle_miou", "tail_miou", "ovo_auc",
                "tau", "tau_mean_normalized", "imbalance_ratio"],
-              [[_fmt(report.mean_iou), _fmt(report.group_means["head"]),
-                _fmt(report.group_means["middle"]), _fmt(report.group_means["tail"]),
-                _fmt(auc), _fmt(tau), _fmt(tau_norm), _fmt(rm)]])
+              [[format_number(report.mean_iou), format_number(report.group_means["head"]),
+                format_number(report.group_means["middle"]), format_number(report.group_means["tail"]),
+                format_number(auc), format_number(tau), format_number(tau_norm), format_number(rm)]])
     return 0
 
 
@@ -151,12 +143,19 @@ def cmd_simulate_coverage(args) -> int:
     rows = []
     for b in dict.fromkeys(sizes):
         res = simulate_coverage(presence, b, args.trials, seed=args.seed)
-        rows.append([b, required, _fmt(union_bound(args.classes, args.pmin, b)),
-                     res.failures, res.trials, _fmt(res.failure_rate)])
+        rows.append([b, required, format_number(union_bound(args.classes, args.pmin, b)),
+                     res.failures, res.trials, format_number(res.failure_rate)])
     _emit_csv(args.out,
               ["batch_size", "required_batch_size", "union_bound", "failures", "trials", "failure_rate"],
               rows)
     return 0
+
+
+def _ovo_loss_naive(scores, labels, kind):
+    """One-vs-one loss as a sum of all-pairs terms over ordered class pairs."""
+    present = np.unique(labels)
+    return sum(pair_loss_naive(scores[labels == c, c], scores[labels == j, c], kind).loss
+               for c in present for j in present if j != c)
 
 
 def cmd_bench_loss(args) -> int:
@@ -165,27 +164,30 @@ def cmd_bench_loss(args) -> int:
     rng = np.random.default_rng(args.seed)
     labels = np.concatenate([np.arange(args.classes),
                              rng.integers(args.classes, size=args.pixels - args.classes)])
-    labels = labels[rng.permutation(args.pixels)].astype(np.int32).reshape(1, args.pixels)
-    scores = softmax(rng.standard_normal((1, args.pixels, args.classes)))
+    labels = labels[rng.permutation(args.pixels)].astype(np.int32)
+    scores = softmax(rng.standard_normal((args.pixels, args.classes)))
+    arms = {
+        "naive": lambda kind: _ovo_loss_naive(scores, labels, kind),
+        "fast": lambda kind: ovo_auc_loss([scores[None]], [labels[None]], kind=kind).loss,
+    }
     kinds = SURROGATES if args.surrogate == "all" else (args.surrogate,)
     rows = []
     for kind in kinds:
         results = {}
-        for kernel in ("naive", "fast"):
+        for kernel, fn in arms.items():
             best = float("inf")
             for _ in range(args.repeat):
                 t0 = time.perf_counter()
-                rep = ovo_auc_loss([scores], [labels], kind=kind, kernel=kernel)
+                loss = fn(kind)
                 best = min(best, time.perf_counter() - t0)
-            results[kernel] = (best, rep.loss)
-        naive_t, naive_loss = results["naive"]
-        fast_t, fast_loss = results["fast"]
+            results[kernel] = (best, loss)
+        naive_loss, fast_loss = results["naive"][1], results["fast"][1]
         if abs(fast_loss - naive_loss) > 1e-9 * max(1.0, abs(naive_loss)):
             raise NumericalError(
-                "fast %s kernel disagrees with naive: %.17g vs %.17g" % (kind, fast_loss, naive_loss))
-        for kernel in ("naive", "fast"):
+                "fast %s loss disagrees with naive: %.17g vs %.17g" % (kind, fast_loss, naive_loss))
+        for kernel, (seconds, loss) in results.items():
             rows.append([kind, kernel, args.pixels, args.classes,
-                         _fmt(results[kernel][0]), _fmt(results[kernel][1])])
+                         format_number(seconds), format_number(loss)])
     _emit_csv(args.out, ["surrogate", "kernel", "pixels", "classes", "seconds", "loss"], rows)
     return 0
 

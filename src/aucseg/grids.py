@@ -206,6 +206,39 @@ class LossReport:
     parts: dict = field(default_factory=dict)
 
 
+def pool_batch(scores, labels):
+    """Flatten a batch into pooled (n, K) scores and (n,) class bins.
+
+    Scores and labels may be grids or plain arrays. Labels come back as
+    int64 bins in [0, K] with IGNORE mapped to the extra bin K, so
+    per-class sums are bincounts with no mask or copy. Also returns K
+    and per-image (shape, slice) spans for scattering gradients back.
+    """
+    score_arrays = [s.scores if isinstance(s, ScoreGrid) else np.asarray(s, dtype=np.float64) for s in scores]
+    label_arrays = [l.labels if isinstance(l, LabelGrid) else np.asarray(l) for l in labels]
+    if len(score_arrays) != len(label_arrays) or not score_arrays:
+        raise ValidationError("need equal, nonzero numbers of score and label grids")
+    k = score_arrays[0].shape[-1]
+    spans = []
+    offset = 0
+    for i, (s, l) in enumerate(zip(score_arrays, label_arrays)):
+        if s.ndim != 3 or s.shape[-1] != k:
+            raise ValidationError("score grid %d has shape %r, expected (H, W, %d)" % (i, s.shape, k))
+        src = labels[i]
+        if isinstance(src, LabelGrid) and src.num_classes != k:
+            raise ValidationError("label grid %d has %d classes, scores have %d slots" % (i, src.num_classes, k))
+        if l.shape != s.shape[:2]:
+            raise ValidationError("label grid %d shape %r does not match scores %r" % (i, l.shape, s.shape[:2]))
+        if l.size and (l.min() < IGNORE or l.max() >= k):
+            raise ValidationError("label grid %d has labels outside [0, %d) and not IGNORE" % (i, k))
+        spans.append((s.shape, slice(offset, offset + l.size)))
+        offset += l.size
+    pooled_s = np.concatenate([s.reshape(-1, k) for s in score_arrays], axis=0)
+    bins = np.concatenate([l.reshape(-1) for l in label_arrays]).astype(np.int64)
+    bins[bins == IGNORE] = k
+    return pooled_s, bins, k, spans
+
+
 def class_stats(label_grids) -> ClassStats:
     """Count pixels per class per image over a dataset of LabelGrids."""
     grids = list(label_grids)

@@ -2,29 +2,34 @@
 
 The empirical pairwise risk for one (positive class, negative class) pair
 is the mean of ell(a_m - b_n) over every positive score a_m and negative
-score b_n. Computing that literally costs O(P*N) per pair; every
-surrogate here admits an exact decomposition that brings one evaluation
-down to O(P+N) (square, exponential) or O((P+N) log(P+N)) (hinge):
+score b_n. Computing that literally costs O(P*N) per pair. One engine,
+``class_pair_loss``, computes the weighted sum of these risks over every
+class pair of a pooled batch at once, given a (K, K) pair-weight matrix
+w; one-vs-one, one-vs-all, the pasted-pixel normalizations and skipped
+pairs differ only in how w is filled, and ``pair_loss`` is its
+two-class case. Each surrogate has one exact decomposition:
 
   square  ell(x) = (1 - x)^2
-      mean loss = 1 - 2*mean(a) + 2*mean(b) + mean(a^2) + mean(b^2)
-                  - 2*mean(a)*mean(b)
+      expands into per-class first and second moments of every score
+      channel (onehot^T S, onehot^T S^2), so the loss and every
+      gradient entry close over (K+1, K) matrices.
   hinge   ell(x) = max(0, 1 - x)
-      sort negatives once; for each positive the active pairs
-      (b > a - 1) form a suffix, so a prefix-sum table gives their
-      count and sum. At the kink the subgradient 0 is chosen.
+      per channel c, sort the class-c scores once; a pair is active iff
+      a < b + 1, so one searchsorted gives each pixel its count of
+      active positives, prefix sums their score sum, and a weighted
+      bincount of the counts the positives' gradients. At the kink the
+      subgradient 0 is chosen.
   exp     ell(x) = exp(-x)
-      mean loss factorizes into mean(exp(-a)) * mean(exp(b)).
+      factorizes into per-class sums of exp(-a) and exp(b), each shifted
+      by its channel's extreme score, so it overflows only when the
+      loss itself does (then NumericalError).
 
 ``pair_loss_naive`` materializes all pairs and is kept deliberately
-independent of the fast paths; it is the reference the fast paths are
-validated against.
+independent of the engine; it is the reference the engine is validated
+against.
 
-Multiclass losses pool pixels over the whole batch and sum the pairwise
-risk over ordered class pairs (one-vs-one) or class-vs-rest splits
-(one-vs-all), skipping pairs where either side is empty. Gradients are
-reported with respect to the score entries; callers chain them through
-``softmax_backward`` when scores come from a softmax head.
+Gradients are reported with respect to the score entries; callers chain
+them through ``softmax_backward`` when scores come from a softmax head.
 """
 from __future__ import annotations
 
@@ -32,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import run_tasks
-from .errors import ValidationError
-from .grids import IGNORE, LabelGrid, LossReport, ScoreGrid
+from .errors import NumericalError, ValidationError
+from .grids import LossReport, pool_batch
 
 SURROGATES = ("square", "hinge", "exp")
 
@@ -65,37 +69,16 @@ def _check_pair_inputs(pos, neg, kind):
 
 
 def pair_loss(pos, neg, kind="square") -> PairLossResult:
-    """Mean surrogate loss over all (pos, neg) pairs, decomposed form."""
+    """Mean surrogate loss over all (pos, neg) pairs: a two-class engine call."""
     a, b = _check_pair_inputs(pos, neg, kind)
     p, n = a.size, b.size
-    if kind == "square":
-        abar = a.mean()
-        bbar = b.mean()
-        loss = 1.0 - 2.0 * abar + 2.0 * bbar + (a * a).mean() + (b * b).mean() - 2.0 * abar * bbar
-        grad_pos = (2.0 / p) * (a - 1.0 - bbar)
-        grad_neg = (2.0 / n) * (1.0 - abar + b)
-    elif kind == "exp":
-        ea = np.exp(-a)
-        eb = np.exp(b)
-        mea = ea.mean()
-        meb = eb.mean()
-        loss = mea * meb
-        grad_pos = -(ea / p) * meb
-        grad_neg = (eb / n) * mea
-    else:
-        bs = np.sort(b)
-        csum = np.concatenate(([0.0], np.cumsum(bs)))
-        # active pairs for positive a: negatives strictly above a - 1
-        first = np.searchsorted(bs, a - 1.0, side="right")
-        cnt = n - first
-        active_sum = csum[n] - csum[first]
-        total = np.sum(cnt * (1.0 - a) + active_sum)
-        loss = total / (p * n)
-        grad_pos = -cnt / float(p * n)
-        asort = np.sort(a)
-        cnt_neg = np.searchsorted(asort, b + 1.0, side="left")
-        grad_neg = cnt_neg / float(p * n)
-    return PairLossResult(float(loss), grad_pos, grad_neg)
+    scores = np.zeros((p + n, 2))
+    scores[:p, 0] = a
+    scores[p:, 0] = b
+    bins = np.repeat(np.arange(2), (p, n))
+    w = np.array([[0.0, 1.0 / (p * n)], [0.0, 0.0]])
+    loss, grad = class_pair_loss(scores, bins, w, kind)
+    return PairLossResult(loss, grad[:p, 0].copy(), grad[p:, 0].copy())
 
 
 def pair_loss_naive(pos, neg, kind="square") -> PairLossResult:
@@ -148,43 +131,95 @@ def softmax_backward(scores: np.ndarray, grad_scores: np.ndarray) -> np.ndarray:
     return s * (g - inner)
 
 
-def _pool(scores, labels):
-    """Flatten a batch into pooled (n_pix, K) scores and (n_pix,) labels.
+def class_pair_loss(scores, bins, w, kind):
+    """Weighted surrogate sum over every class pair of pooled pixels.
 
-    Returns the pooled arrays plus per-image (shape, slice) info so
-    gradients can be scattered back.
+    scores is (n, K), bins (n,) class ids in [0, K] with K for ignored
+    pixels, and w[c, j] the weight of one (class-c pixel, class-j pixel)
+    pair scored on channel c:
+
+        loss = sum_c sum_j w[c, j] sum_{m in c, t in j} ell(s[m, c] - s[t, c])
+
+    w must be zero on the diagonal and wherever class c or j is empty.
+    Returns the loss and its (n, K) gradient.
     """
-    score_arrays = [s.scores if isinstance(s, ScoreGrid) else np.asarray(s, dtype=np.float64) for s in scores]
-    label_arrays = [l.labels if isinstance(l, LabelGrid) else np.asarray(l) for l in labels]
-    if len(score_arrays) != len(label_arrays) or not score_arrays:
-        raise ValidationError("need equal, nonzero numbers of score and label grids")
-    k = score_arrays[0].shape[-1]
-    spans = []
-    offset = 0
-    for i, (s, l) in enumerate(zip(score_arrays, label_arrays)):
-        if s.ndim != 3 or s.shape[-1] != k:
-            raise ValidationError("score grid %d has shape %r, expected (H, W, %d)" % (i, s.shape, k))
-        src = labels[i]
-        if isinstance(src, LabelGrid) and src.num_classes != k:
-            raise ValidationError("label grid %d has %d classes, scores have %d slots" % (i, src.num_classes, k))
-        if l.shape != s.shape[:2]:
-            raise ValidationError("label grid %d shape %r does not match scores %r" % (i, l.shape, s.shape[:2]))
-        npix = l.size
-        spans.append((s.shape, slice(offset, offset + npix)))
-        offset += npix
-    pooled_s = np.concatenate([s.reshape(-1, k) for s in score_arrays], axis=0)
-    pooled_l = np.concatenate([l.reshape(-1) for l in label_arrays], axis=0)
-    return pooled_s, pooled_l.astype(np.int64), k, spans
+    if kind not in SURROGATES:
+        raise ValidationError("unknown surrogate %r, expected one of %r" % (kind, SURROGATES))
+    n, k = scores.shape
+    wt = np.zeros((k + 1, k))  # wt[j, c]: weight of a class-j pixel as a negative on channel c
+    wt[:k] = w.T
+    if kind == "hinge":
+        return _hinge_pairs(scores, bins, wt)
+    onehot = np.zeros((n, k + 1))
+    onehot[np.arange(n), bins] = 1.0
+    count = onehot.sum(axis=0)
+    if kind == "square":
+        # ell = (1 - a + b)^2 closes over per-class first and second moments
+        m1 = onehot.T @ scores
+        m2 = onehot.T @ (scores * scores)
+        nk, d1, d2 = count[:k], np.diag(m1), np.diag(m2)
+        alpha = count @ wt
+        beta = (wt * m1).sum(axis=0)
+        gamma = (wt * m2).sum(axis=0)
+        loss = np.sum(alpha * (nk - 2.0 * d1 + d2) + 2.0 * (nk - d1) * beta + nk * gamma)
+        # gradient of a class-j pixel on channel c is offset[j, c] + slope[j, c] * s
+        offset = 2.0 * wt * (nk - d1)
+        slope = 2.0 * wt * nk
+        offset[:k][np.diag_indices(k)] = -2.0 * (alpha + beta)
+        slope[:k][np.diag_indices(k)] = 2.0 * alpha
+        return float(loss), offset[bins] + slope[bins] * scores
+    # exp: ell = exp(-a) * exp(b), each factor shifted by its channel's
+    # extreme score so that no exponential overflows unless the loss does
+    live = (wt > 0).any(axis=0)
+    hi = np.where((wt > 0)[bins], scores, -np.inf).max(axis=0)
+    lo = np.where(onehot[:, :k] > 0, scores, np.inf).min(axis=0)
+    hi[~live] = 0.0
+    lo[count[:k] == 0] = 0.0
+    e_neg = np.exp(np.minimum(scores - hi, 0.0))
+    own = np.minimum(bins, k - 1)  # each pixel's own channel; ignored pixels carry no weight
+    pos = np.take_along_axis(scores, own[:, None], axis=1)[:, 0]
+    e_pos = np.where(bins < k, np.exp(np.minimum(lo[own] - pos, 0.0)), 0.0)
+    sum_pos = np.bincount(bins, weights=e_pos, minlength=k + 1)[:k]
+    sum_neg = (wt * (onehot.T @ e_neg)).sum(axis=0)
+    with np.errstate(over="ignore", divide="ignore"):
+        loss = np.sum(np.exp(hi[live] - lo[live] + np.log(sum_pos[live] * sum_neg[live])))
+        scale = np.where(live, np.exp(hi - lo), 0.0)
+    if not np.isfinite(loss):
+        raise NumericalError("exp surrogate loss overflows float64")
+    grad = e_neg * (wt * (sum_pos * scale))[bins]
+    grad[np.arange(n), own] -= e_pos * (scale * sum_neg)[own]
+    return float(loss), grad
 
 
-def _pool_pasted(pasted, spans, n_pix):
-    if pasted is None:
-        return np.zeros(n_pix, dtype=bool)
-    masks = [np.asarray(m, dtype=bool).reshape(-1) for m in pasted]
-    flat = np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
-    if flat.size != n_pix:
-        raise ValidationError("pasted masks cover %d pixels, batch has %d" % (flat.size, n_pix))
-    return flat
+def _hinge_pairs(scores, bins, wt):
+    """Hinge terms, one sort of the class-c scores per channel.
+
+    A (positive a, negative b) pair is active iff a < b + 1. One
+    searchsorted gives every pixel its count of active positives, and a
+    weighted bincount of those counts the positives' suffix sums.
+    """
+    n, k = scores.shape
+    count = np.bincount(bins, minlength=k + 1)
+    order = np.argsort(bins, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(count)))
+    channels = np.ascontiguousarray(scores.T)
+    loss = 0.0
+    grad = np.zeros((k, n))
+    for c in np.flatnonzero((wt > 0).any(axis=0)):
+        b = channels[c]
+        rows = order[starts[c] : starts[c + 1]]
+        a = b[rows]
+        rank = np.argsort(a)
+        a_sorted = a[rank]
+        prefix = np.concatenate(([0.0], np.cumsum(a_sorted)))
+        active = np.searchsorted(a_sorted, b + 1.0, side="left")
+        weight = wt[:, c].take(bins)
+        grad[c] = weight * active
+        # negative weight per active count; sorted positive i pairs with every count > i
+        by_count = np.bincount(active, weights=weight, minlength=a.size + 1)
+        loss += grad[c].sum() + grad[c] @ b - by_count @ prefix
+        grad[c, rows[rank]] = -np.cumsum(by_count[::-1])[-2::-1]
+    return float(loss), np.ascontiguousarray(grad.T)
 
 
 def _scatter(grad_flat, spans):
@@ -196,41 +231,41 @@ def _scatter(grad_flat, spans):
     return tuple(out)
 
 
-def _class_index(pooled_l, k):
-    idx = {}
-    for c in range(k):
-        rows = np.nonzero(pooled_l == c)[0]
-        if rows.size:
-            idx[c] = rows
-    return idx
-
-
-def _pair_terms(tasks, pairs, grad_flat, kernel):
-    """Evaluate per-pair kernels (possibly in a pool) and accumulate in order."""
-    fn = pair_loss if kernel == "fast" else pair_loss_naive
-    results = run_tasks([lambda t=t: fn(t[0], t[1], t[2]) for t in tasks])
-    total = 0.0
-    for (channel, rows_pos, rows_neg, scale), res in zip(pairs, results):
-        total += res.loss * scale
-        grad_flat[rows_pos, channel] += res.grad_pos * scale
-        grad_flat[rows_neg, channel] += res.grad_neg * scale
-    return total
-
-
-def _check_norm(pair_norm, kernel):
+def _auc_loss(mode, scores, labels, kind, pasted, pair_norm):
     if pair_norm not in ("union", "original"):
         raise ValidationError("pair_norm must be 'union' or 'original', got %r" % (pair_norm,))
-    if kernel not in ("fast", "naive"):
-        raise ValidationError("kernel must be 'fast' or 'naive', got %r" % (kernel,))
+    pooled_s, bins, k, spans = pool_batch(scores, labels)
+    if not np.all(np.isfinite(pooled_s)):
+        raise ValidationError("scores must be finite")
+    if np.count_nonzero(np.bincount(bins, minlength=k + 1)[:k]) < 2:
+        raise ValidationError("degenerate batch: AUC undefined with fewer than 2 classes present")
+    # each pair term is a sum over all pixels divided by the product of the
+    # class sizes: the sizes summed over ("union") or the pre-paste ones
+    size_bins = bins
+    if pasted is not None:
+        flat = np.concatenate([np.asarray(m, dtype=bool).reshape(-1) for m in pasted] or [np.zeros(0, bool)])
+        if flat.size != bins.size:
+            raise ValidationError("pasted masks cover %d pixels, batch has %d" % (flat.size, bins.size))
+        if pair_norm == "original":
+            size_bins = np.where(flat, k, bins)
+    size = np.bincount(size_bins, minlength=k + 1)[:k].astype(np.float64)
+    if mode == "ovo":
+        denom = np.outer(size, size)
+    else:
+        denom = np.repeat((size * (size.sum() - size))[:, None], k, axis=1)
+    w = np.divide(1.0, denom, out=np.zeros((k, k)), where=denom > 0)
+    np.fill_diagonal(w, 0.0)
+    loss, grad = class_pair_loss(pooled_s, bins, w, kind)
+    return LossReport(loss=loss, gradients=_scatter(grad, spans))
 
 
-def ovo_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union", kernel="fast") -> LossReport:
+def ovo_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") -> LossReport:
     """One-vs-one ranking loss pooled over a batch.
 
     For every ordered pair of distinct present classes (c, c') the score
     channel c is read at class-c pixels (positives) and class-c' pixels
-    (negatives) and fed to the surrogate kernel. Pairs touching an
-    entirely absent class are skipped.
+    (negatives), and the pair's mean surrogate loss is added. Pairs
+    touching an entirely absent class are skipped.
 
     pasted marks pixels injected by the memory bank (one (H, W) bool
     mask per image). With pair_norm="union" (default) each pair term is
@@ -239,82 +274,21 @@ def ovo_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union", 
     denominators are the pre-paste class counts, and pairs whose
     pre-paste count is zero on either side are skipped.
     """
-    _check_norm(pair_norm, kernel)
-    if kind not in SURROGATES:
-        raise ValidationError("unknown surrogate %r, expected one of %r" % (kind, SURROGATES))
-    pooled_s, pooled_l, k, spans = _pool(scores, labels)
-    pasted_flat = _pool_pasted(pasted, spans, pooled_l.size)
-    idx = _class_index(pooled_l, k)
-    present = sorted(idx)
-    if len(present) < 2:
-        raise ValidationError("degenerate batch: AUC undefined with fewer than 2 classes present")
-    orig_counts = {c: int(np.sum(~pasted_flat[rows])) for c, rows in idx.items()}
-    grad_flat = np.zeros_like(pooled_s)
-    pairs = []
-    tasks = []
-    for c in present:
-        for cp in present:
-            if cp == c:
-                continue
-            if pair_norm == "original" and (orig_counts[c] == 0 or orig_counts[cp] == 0):
-                continue
-            rows_pos = idx[c]
-            rows_neg = idx[cp]
-            if pair_norm == "original":
-                scale = (rows_pos.size * rows_neg.size) / float(orig_counts[c] * orig_counts[cp])
-            else:
-                scale = 1.0
-            pairs.append((c, rows_pos, rows_neg, scale))
-            tasks.append((pooled_s[rows_pos, c], pooled_s[rows_neg, c], kind))
-    total = _pair_terms(tasks, pairs, grad_flat, kernel)
-    return LossReport(loss=total, gradients=_scatter(grad_flat, spans))
+    return _auc_loss("ovo", scores, labels, kind, pasted, pair_norm)
 
 
-def ova_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union", kernel="fast") -> LossReport:
+def ova_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") -> LossReport:
     """One-vs-all variant: each present class against all other labeled pixels."""
-    _check_norm(pair_norm, kernel)
-    if kind not in SURROGATES:
-        raise ValidationError("unknown surrogate %r, expected one of %r" % (kind, SURROGATES))
-    pooled_s, pooled_l, k, spans = _pool(scores, labels)
-    pasted_flat = _pool_pasted(pasted, spans, pooled_l.size)
-    idx = _class_index(pooled_l, k)
-    present = sorted(idx)
-    if len(present) < 2:
-        raise ValidationError("degenerate batch: AUC undefined with fewer than 2 classes present")
-    valid = pooled_l != IGNORE
-    orig_valid = int(np.sum(valid & ~pasted_flat))
-    orig_counts = {c: int(np.sum(~pasted_flat[rows])) for c, rows in idx.items()}
-    grad_flat = np.zeros_like(pooled_s)
-    pairs = []
-    tasks = []
-    for c in present:
-        rows_pos = idx[c]
-        rows_neg = np.nonzero(valid & (pooled_l != c))[0]
-        if rows_neg.size == 0:
-            continue
-        if pair_norm == "original":
-            o_pos = orig_counts[c]
-            o_neg = orig_valid - o_pos
-            if o_pos == 0 or o_neg == 0:
-                continue
-            scale = (rows_pos.size * rows_neg.size) / float(o_pos * o_neg)
-        else:
-            scale = 1.0
-        pairs.append((c, rows_pos, rows_neg, scale))
-        tasks.append((pooled_s[rows_pos, c], pooled_s[rows_neg, c], kind))
-    total = _pair_terms(tasks, pairs, grad_flat, kernel)
-    return LossReport(loss=total, gradients=_scatter(grad_flat, spans))
+    return _auc_loss("ova", scores, labels, kind, pasted, pair_norm)
 
 
 def ce_loss(scores, labels) -> LossReport:
     """Mean cross entropy over labeled pixels, probabilities clamped at 1e-12."""
-    pooled_s, pooled_l, k, spans = _pool(scores, labels)
-    rows = np.nonzero(pooled_l != IGNORE)[0]
+    pooled_s, bins, k, spans = pool_batch(scores, labels)
+    rows = np.flatnonzero(bins < k)
     if rows.size == 0:
         raise ValidationError("no labeled pixels: cross entropy undefined")
-    true = pooled_l[rows]
-    if true.max() >= k:
-        raise ValidationError("label %d outside score channels [0, %d)" % (true.max(), k))
+    true = bins[rows]
     s_true = np.maximum(pooled_s[rows, true], CE_CLAMP)
     n = rows.size
     loss = float(-np.mean(np.log(s_true)))
@@ -324,14 +298,14 @@ def ce_loss(scores, labels) -> LossReport:
 
 
 def combined_loss(scores, labels, kind="square", mode="ovo", lam=0.25,
-                  pasted=None, pair_norm="union", kernel="fast") -> LossReport:
+                  pasted=None, pair_norm="union") -> LossReport:
     """Ranking loss plus lam times cross entropy, gradients combined."""
     if mode not in ("ovo", "ova"):
         raise ValidationError("mode must be 'ovo' or 'ova', got %r" % (mode,))
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValidationError("lam must be finite and >= 0, got %r" % (lam,))
     auc_fn = ovo_auc_loss if mode == "ovo" else ova_auc_loss
-    auc = auc_fn(scores, labels, kind, pasted=pasted, pair_norm=pair_norm, kernel=kernel)
+    auc = auc_fn(scores, labels, kind, pasted=pasted, pair_norm=pair_norm)
     ce = ce_loss(scores, labels)
     grads = tuple(ga + lam * gc for ga, gc in zip(auc.gradients, ce.gradients))
     for g in grads:

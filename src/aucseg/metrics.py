@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .grids import IGNORE, ClassStats, LabelGrid, ScoreGrid
+from .grids import IGNORE, ClassStats, LabelGrid, ScoreGrid, pool_batch
 
 
 def argmax_labels(score_grids):
@@ -34,49 +34,40 @@ def argmax_labels(score_grids):
     return out
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    n = xs.size
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = xs[1:] != xs[:-1]
-    starts = np.nonzero(boundary)[0]
-    ends = np.append(starts[1:], n)
-    group = np.cumsum(boundary) - 1
-    mid = (starts + ends + 1) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = mid[group]
-    return ranks
-
-
-def _rank_auc(pos: np.ndarray, neg: np.ndarray) -> float:
-    """P(pos > neg) + 0.5 P(pos == neg) via rank sums."""
-    p, n = pos.size, neg.size
-    ranks = _midranks(np.concatenate([pos, neg]))
-    u = ranks[:p].sum() - p * (p + 1) / 2.0
-    return u / (p * n)
-
-
 def ovo_auc_metric(scores, labels) -> float:
-    """Mean one-vs-one ranking metric over realized ordered class pairs."""
-    from .losses import _class_index, _pool
+    """Mean one-vs-one ranking metric over realized ordered class pairs.
 
-    pooled_s, pooled_l, k, _ = _pool(scores, labels)
-    idx = _class_index(pooled_l, k)
-    present = sorted(idx)
-    if len(present) < 2:
+    Per channel c the pooled scores are sorted once; two searchsorteds
+    into the class-c scores among them give every pixel the number of
+    class-c pixels scored above it and tied with it, summed per class as
+    doubled integers (a win is 2, a tie 1), so the half-credit tie rule
+    is exact.
+    """
+    pooled_s, bins, k, _ = pool_batch(scores, labels)
+    count = np.bincount(bins, minlength=k + 1)
+    present = np.flatnonzero(count[:k])
+    if present.size < 2:
         raise ValidationError("degenerate batch: AUC undefined with fewer than 2 classes present")
-    total = 0.0
-    pairs = 0
+    doubled = np.zeros((k, k + 1))
     for c in present:
-        for cp in present:
-            if cp == c:
-                continue
-            total += _rank_auc(pooled_s[idx[c], c], pooled_s[idx[cp], c])
-            pairs += 1
-    return total / pairs
+        order = np.argsort(pooled_s[:, c])
+        ranked = pooled_s[order, c]
+        ranked_bins = bins[order]
+        del order
+        pos = ranked[ranked_bins == c]
+        above = np.searchsorted(pos, ranked, side="right")
+        above += np.searchsorted(pos, ranked, side="left")
+        del ranked
+        np.subtract(2 * pos.size, above, out=above)
+        doubled[c] = np.bincount(ranked_bins, weights=above, minlength=k + 1)
+    realized = np.zeros((k, k), dtype=bool)
+    realized[np.ix_(present, present)] = True
+    np.fill_diagonal(realized, False)
+    pair_auc = (doubled[:, :k] / 2.0)[realized] / np.outer(count[:k], count[:k])[realized]
+    total = 0.0
+    for auc in pair_auc.tolist():  # (c, c') order, one rounding per pair
+        total += auc
+    return total / pair_auc.size
 
 
 @dataclass(frozen=True)
@@ -110,6 +101,12 @@ def make_partition(stats: ClassStats, head_count: int, middle_count: int) -> Par
     middle = tuple(sorted(ranked[head_count : head_count + middle_count]))
     tail = tuple(sorted(ranked[head_count + middle_count :]))
     return Partition(head=head, middle=middle, tail=tail)
+
+
+def auto_partition(stats: ClassStats, head_count: int = 0, middle_count: int = 0) -> Partition:
+    """make_partition where a count of 0 means a third of the occurring classes (at least 1)."""
+    third = max(1, int(np.sum(stats.count > 0)) // 3)
+    return make_partition(stats, head_count or third, middle_count or third)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .bank import BankConfig, TailMemoryBank, missing_tail_classes, select_tail_
 from .errors import FormatError, NumericalError, ValidationError
 from .grids import Batch, FeatureGrid, LabelGrid, ScoreGrid, class_stats
 from .losses import SURROGATES, ce_loss, combined_loss, softmax, softmax_backward
-from .metrics import argmax_labels, iou_report, make_partition, ovo_auc_metric
+from .metrics import argmax_labels, auto_partition, iou_report, ovo_auc_metric
 
 MODEL_MAGIC = b"SEGM"
 MODEL_VERSION = 1
@@ -124,7 +124,6 @@ class TrainConfig:
     eval_fraction: float = 0.2
     head_count: int = 0
     middle_count: int = 0
-    tail_fraction: float = 0.34
     bank: BankConfig | None = field(default_factory=BankConfig)
     seed: int = 0
 
@@ -191,13 +190,6 @@ class TrainResult:
     eval_indices: np.ndarray
 
 
-def _auto_partition_counts(stats, cfg):
-    n_occ = int(np.sum(stats.count > 0))
-    head = cfg.head_count or max(1, n_occ // 3)
-    middle = cfg.middle_count or max(1, n_occ // 3)
-    return head, middle
-
-
 def _backward(model, batch, scores, grads):
     dw = np.zeros_like(model.weights)
     db = np.zeros_like(model.bias)
@@ -241,8 +233,7 @@ def train(items, cfg: TrainConfig) -> TrainResult:
     eval_items = [items[i] for i in eval_idx]
 
     stats = class_stats([lab for _, lab in train_items])
-    head_n, middle_n = _auto_partition_counts(stats, cfg)
-    partition = make_partition(stats, head_n, middle_n)
+    partition = auto_partition(stats, cfg.head_count, cfg.middle_count)
 
     bank = None
     if cfg.objective == "auc_ce" and cfg.bank is not None and cfg.bank.memory_size > 0:
@@ -312,9 +303,10 @@ def train(items, cfg: TrainConfig) -> TrainResult:
                        train_indices=train_idx, eval_indices=eval_idx)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, int):
-        return str(x)
+def format_number(x) -> str:
+    """Integers as they are, floats to 10 significant digits."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return "%.10g" % x
 
 
@@ -323,7 +315,7 @@ def write_metrics_csv(path, evals):
         writer = csv.writer(f)
         writer.writerow(METRIC_COLUMNS)
         for row in evals:
-            writer.writerow([_fmt(getattr(row, c)) for c in METRIC_COLUMNS])
+            writer.writerow([format_number(getattr(row, c)) for c in METRIC_COLUMNS])
 
 
 def train_and_save(items, cfg: TrainConfig, out_dir) -> TrainResult:

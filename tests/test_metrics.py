@@ -4,7 +4,6 @@ import pytest
 from aucseg import (IGNORE, ClassStats, ValidationError, argmax_labels,
                     compute_tau, imbalance_ratio, iou_report, make_partition,
                     ovo_auc_metric, softmax)
-from aucseg.metrics import _midranks, _rank_auc
 
 from _oracles import IOU_FIXTURES, auc_metric_ref, iou_ref, rm_ref, tau_ref
 
@@ -18,16 +17,29 @@ def stats_from_counts(rows):
 
 # ------------------------------------------------------------------- rank AUC
 
+def two_class_auc(pos, neg):
+    """ovo_auc_metric of a class-0 vs class-1 split whose channel 1 mirrors channel 0.
+
+    Both ordered pairs then rank alike, so the metric is the one pair's AUC.
+    """
+    s0 = np.array(pos + neg, dtype=np.float64)
+    scores = [np.stack([s0, 1.0 - s0], axis=-1)[None]]
+    labels = [np.array([[0] * len(pos) + [1] * len(neg)], dtype=np.int32)]
+    return ovo_auc_metric(scores, labels)
+
+
 def test_midranks_with_ties():
-    assert _midranks(np.array([0.3, 0.1, 0.3, 0.5])).tolist() == [2.5, 1.0, 2.5, 4.0]
-    assert _midranks(np.array([1.0, 1.0, 1.0])).tolist() == [2.0, 2.0, 2.0]
+    # midranks of [.3, .5 | .1, .3] are [2.5, 4 | 1, 2.5]: U = 6.5 - 3
+    assert two_class_auc([0.3, 0.5], [0.1, 0.3]) == 0.875
+    # all tied: midranks [2 | 2, 2], U = 2 - 1, every pair is half a win
+    assert two_class_auc([1.0], [1.0, 1.0]) == 0.5
 
 
 def test_rank_auc_hand_values():
-    assert _rank_auc(np.array([0.7, 0.6]), np.array([0.4, 0.3])) == 1.0
-    assert _rank_auc(np.array([0.3]), np.array([0.7])) == 0.0
+    assert two_class_auc([0.7, 0.6], [0.4, 0.3]) == 1.0
+    assert two_class_auc([0.3], [0.7]) == 0.0
     # ties count half: pos [.5,.5] vs neg [.5,.2] -> (0.5+1+0.5+1)/4
-    assert _rank_auc(np.array([0.5, 0.5]), np.array([0.5, 0.2])) == 0.75
+    assert two_class_auc([0.5, 0.5], [0.5, 0.2]) == 0.75
 
 
 def test_ovo_metric_perfect_separation():

@@ -157,17 +157,6 @@ def test_training_is_deterministic(tmp_path):
     assert (d1 / "model.segm").read_bytes() == (d2 / "model.segm").read_bytes()
 
 
-def test_thread_cap_leaves_training_output_identical(tmp_path, monkeypatch):
-    items = quick_items(images=12)
-    cfg = quick_config(max_iter=20, eval_every=10, seed=2)
-    monkeypatch.setenv("AUCSEG_THREADS", "1")
-    train_and_save(items, cfg, tmp_path / "t1")
-    monkeypatch.setenv("AUCSEG_THREADS", "4")
-    train_and_save(items, cfg, tmp_path / "t4")
-    assert (tmp_path / "t1/metrics.csv").read_bytes() == (tmp_path / "t4/metrics.csv").read_bytes()
-    assert (tmp_path / "t1/model.segm").read_bytes() == (tmp_path / "t4/model.segm").read_bytes()
-
-
 def test_bank_participates_and_logs_pastes():
     # tail classes rarely present: with the bank on, paste counts show up
     presence = (1.0, 1.0, 1.0, 0.15)
