@@ -225,20 +225,19 @@ class TailMemoryBank:
         Draw order per call: the set of classes (without replacement),
         then for each drawn class with a nonempty store the patch index,
         target image, and top-left position. Drawn classes with empty
-        stores are skipped and not redrawn. Returns a new batch; the
-        input is untouched.
+        stores are skipped and not redrawn. Each patch is fit to its
+        target image. Returns a new batch that shares the untouched
+        items; only the images pasted into are copied.
         """
         c_miss = missing_tail_classes(batch.labels, self.tail_classes)
-        blank = tuple(np.zeros((lab.height, lab.width), dtype=bool) for lab in batch.labels)
+        masks = tuple(np.zeros((lab.height, lab.width), dtype=bool) for lab in batch.labels)
         if not c_miss or self.is_empty():
-            return RetrieveResult(batch=batch, records=(), skipped=(), pasted_masks=blank)
+            return RetrieveResult(batch=batch, records=(), skipped=(), pasted_masks=masks)
         n_sample = min(int(math.ceil(len(c_miss) * self.config.sample_ratio)), len(c_miss))
         drawn = self.rng.choice(np.asarray(c_miss, dtype=np.int64), size=n_sample, replace=False)
 
-        feats = [feat.values.copy() for feat, _ in batch]
-        labs = [lab.labels.copy() for _, lab in batch]
-        masks = [m.copy() for m in blank]
-        height, width = labs[0].shape
+        items = list(batch)
+        edited = {}  # target image -> writable copies of its features and labels
         records = []
         skipped = []
         for c in (int(c) for c in drawn):
@@ -249,6 +248,11 @@ class TailMemoryBank:
             pi = int(self.rng.integers(len(store)))
             patch = store[pi]
             self._used[c][pi] = True
+            t = int(self.rng.integers(len(batch)))
+            if t not in edited:
+                edited[t] = (items[t][0].values.copy(), items[t][1].labels.copy())
+            feats, labs = edited[t]
+            height, width = labs.shape
             ph, pw = patch.mask.shape
             nh = max(1, int(round(ph * self.config.resize_ratio)))
             nw = max(1, int(round(pw * self.config.resize_ratio)))
@@ -257,25 +261,21 @@ class TailMemoryBank:
                 nh = max(1, int(nh * fit))
                 nw = max(1, int(nw * fit))
             pf, pm = _nearest_resize(patch, nh, nw)
-            t = int(self.rng.integers(len(batch)))
             r0 = int(self.rng.integers(height - nh + 1))
             c0 = int(self.rng.integers(width - nw + 1))
             win = (slice(r0, r0 + nh), slice(c0, c0 + nw))
-            feats[t][win][pm] = pf[pm]
-            labs[t][win][pm] = c
+            feats[win][pm] = pf[pm]
+            labs[win][pm] = c
             masks[t][win] |= pm
             records.append(PasteRecord(c, t, r0, c0, nh, nw))
 
-        k = batch.num_classes
-        new_items = tuple(
-            (FeatureGrid(values=f), LabelGrid(labels=l, num_classes=k))
-            for f, l in zip(feats, labs)
-        )
+        for t, (feats, labs) in edited.items():
+            items[t] = (FeatureGrid(values=feats), LabelGrid(labels=labs, num_classes=batch.num_classes))
         for m in masks:
             m.setflags(write=False)
         return RetrieveResult(
-            batch=Batch(items=new_items),
+            batch=Batch(items=tuple(items)),
             records=tuple(records),
             skipped=tuple(skipped),
-            pasted_masks=tuple(masks),
+            pasted_masks=masks,
         )

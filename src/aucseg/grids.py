@@ -207,12 +207,12 @@ class LossReport:
 
 
 def pool_batch(scores, labels):
-    """Flatten a batch into pooled (n, K) scores and (n,) class bins.
+    """Check a batch and flatten its labels into (n,) class bins.
 
-    Scores and labels may be grids or plain arrays. Labels come back as
-    int64 bins in [0, K] with IGNORE mapped to the extra bin K, so
-    per-class sums are bincounts with no mask or copy. Also returns K
-    and per-image (shape, slice) spans for scattering gradients back.
+    Scores and labels may be grids or plain arrays. Returns the per-image
+    score arrays uncopied (the caller's: never write into them), int64
+    bins in [0, K] with IGNORE in the extra bin K, K, and per-image
+    (shape, slice) spans into the pooled pixel order.
     """
     score_arrays = [s.scores if isinstance(s, ScoreGrid) else np.asarray(s, dtype=np.float64) for s in scores]
     label_arrays = [l.labels if isinstance(l, LabelGrid) else np.asarray(l) for l in labels]
@@ -233,10 +233,9 @@ def pool_batch(scores, labels):
             raise ValidationError("label grid %d has labels outside [0, %d) and not IGNORE" % (i, k))
         spans.append((s.shape, slice(offset, offset + l.size)))
         offset += l.size
-    pooled_s = np.concatenate([s.reshape(-1, k) for s in score_arrays], axis=0)
     bins = np.concatenate([l.reshape(-1) for l in label_arrays]).astype(np.int64)
     bins[bins == IGNORE] = k
-    return pooled_s, bins, k, spans
+    return score_arrays, bins, k, spans
 
 
 def class_stats(label_grids) -> ClassStats:

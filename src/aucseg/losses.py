@@ -223,18 +223,15 @@ def _hinge_pairs(scores, bins, wt):
 
 
 def _scatter(grad_flat, spans):
-    out = []
-    for shape, span in spans:
-        g = grad_flat[span].reshape(shape).copy()
-        g.setflags(write=False)
-        out.append(g)
-    return tuple(out)
+    grad_flat.setflags(write=False)  # before slicing, so every per-image view is read-only
+    return tuple(grad_flat[span].reshape(shape) for shape, span in spans)
 
 
 def _auc_loss(mode, scores, labels, kind, pasted, pair_norm):
     if pair_norm not in ("union", "original"):
         raise ValidationError("pair_norm must be 'union' or 'original', got %r" % (pair_norm,))
-    pooled_s, bins, k, spans = pool_batch(scores, labels)
+    score_arrays, bins, k, spans = pool_batch(scores, labels)
+    pooled_s = np.concatenate([s.reshape(-1, k) for s in score_arrays])
     if not np.all(np.isfinite(pooled_s)):
         raise ValidationError("scores must be finite")
     if np.count_nonzero(np.bincount(bins, minlength=k + 1)[:k]) < 2:
@@ -284,7 +281,8 @@ def ova_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") 
 
 def ce_loss(scores, labels) -> LossReport:
     """Mean cross entropy over labeled pixels, probabilities clamped at 1e-12."""
-    pooled_s, bins, k, spans = pool_batch(scores, labels)
+    score_arrays, bins, k, spans = pool_batch(scores, labels)
+    pooled_s = np.concatenate([s.reshape(-1, k) for s in score_arrays])
     rows = np.flatnonzero(bins < k)
     if rows.size == 0:
         raise ValidationError("no labeled pixels: cross entropy undefined")

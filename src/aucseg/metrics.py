@@ -37,23 +37,24 @@ def argmax_labels(score_grids):
 def ovo_auc_metric(scores, labels) -> float:
     """Mean one-vs-one ranking metric over realized ordered class pairs.
 
-    Per channel c the pooled scores are sorted once; two searchsorteds
+    Per channel c the channel-c scores are gathered in pooled pixel
+    order (no pooled (n, K) copy) and sorted once; two searchsorteds
     into the class-c scores among them give every pixel the number of
     class-c pixels scored above it and tied with it, summed per class as
-    doubled integers (a win is 2, a tie 1), so the half-credit tie rule
-    is exact.
+    doubled integers (a win is 2, a tie 1), so half credit is exact.
     """
-    pooled_s, bins, k, _ = pool_batch(scores, labels)
+    score_arrays, bins, k, _ = pool_batch(scores, labels)
     count = np.bincount(bins, minlength=k + 1)
     present = np.flatnonzero(count[:k])
     if present.size < 2:
         raise ValidationError("degenerate batch: AUC undefined with fewer than 2 classes present")
     doubled = np.zeros((k, k + 1))
     for c in present:
-        order = np.argsort(pooled_s[:, c])
-        ranked = pooled_s[order, c]
+        column = np.concatenate([s[..., c].reshape(-1) for s in score_arrays])
+        order = np.argsort(column)
+        ranked = column[order]
         ranked_bins = bins[order]
-        del order
+        del order, column
         pos = ranked[ranked_bins == c]
         above = np.searchsorted(pos, ranked, side="right")
         above += np.searchsorted(pos, ranked, side="left")

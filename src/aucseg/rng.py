@@ -20,7 +20,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _INV53 = 1.0 / (1 << 53)
 
 
-def _mix64(z: int) -> int:
+def mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * MIX1 & _MASK
     z = (z ^ (z >> 27)) * MIX2 & _MASK
     return z ^ (z >> 31)
@@ -41,7 +41,7 @@ class Splitmix64:
 
     def next_u64(self) -> int:
         self.counter += 1
-        return _mix64((self.seed + self.counter * GOLDEN) & _MASK)
+        return mix64((self.seed + self.counter * GOLDEN) & _MASK)
 
     def u64_block(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)

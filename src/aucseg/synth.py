@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .grids import IGNORE, MAX_CLASSES, FeatureGrid, LabelGrid
-from .rng import Splitmix64, _mix64
+from .rng import Splitmix64, mix64
 
 MAGIC = b"SEGD"
 VERSION = 1
@@ -43,7 +43,7 @@ _MEAN_SALT = 0x5EED5EED5EED5EED
 
 def class_mean(class_id: int, channel: int) -> float:
     """Fixed per-class feature mean in [-1, 1], independent of the seed."""
-    h = _mix64((_MEAN_SALT + (class_id * 65536 + channel + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+    h = mix64((_MEAN_SALT + (class_id * 65536 + channel + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
     return 2.0 * ((h >> 11) / float(1 << 53)) - 1.0
 
 
@@ -182,8 +182,10 @@ def write_segd(path, items):
 def read_segd(path):
     """Parse a .segd file back into [(FeatureGrid, LabelGrid)].
 
+    Features are read-only views of the file buffer, which stays in
+    memory while any of them lives; labels are decoded to int32.
     Malformed input raises FormatError carrying the byte offset of the
-    first problem.
+    first problem in file order.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -200,33 +202,25 @@ def read_segd(path):
         raise FormatError(12, "class count %d outside [2, %d]" % (k, MAX_CLASSES))
     if h == 0 or w == 0 or ch == 0:
         raise FormatError(16, "zero image dimension (h=%d, w=%d, c=%d)" % (h, w, ch))
-    feat_bytes = h * w * ch * 4
-    lab_bytes = h * w * 2
-    expected = _HEADER.size + n_images * (feat_bytes + lab_bytes)
+    record = np.dtype([("features", "<f4", (h, w, ch)), ("labels", "<u2", (h, w))])
+    expected = _HEADER.size + n_images * record.itemsize
     if len(blob) < expected:
         raise FormatError(len(blob), "file truncated, expected %d bytes" % expected)
     if len(blob) > expected:
         raise FormatError(expected, "%d trailing bytes after the last image" % (len(blob) - expected))
-    items = []
-    off = _HEADER.size
-    for i in range(n_images):
-        feats = np.frombuffer(blob, dtype="<f4", count=h * w * ch, offset=off).reshape(h, w, ch)
-        if not np.all(np.isfinite(feats)):
-            bad = int(np.flatnonzero(~np.isfinite(feats.ravel()))[0])
-            raise FormatError(off + bad * 4, "non-finite feature value in image %d" % i)
-        off += feat_bytes
-        raw = np.frombuffer(blob, dtype="<u2", count=h * w, offset=off)
-        labels = raw.astype(np.int32)
-        bad_mask = (raw != IGNORE_CODE) & (raw >= k)
-        if bad_mask.any():
-            bad = int(np.flatnonzero(bad_mask)[0])
-            raise FormatError(off + bad * 2, "label %d outside [0, %d) in image %d" % (int(raw[bad]), k, i))
-        labels[raw == IGNORE_CODE] = IGNORE
-        off += lab_bytes
-        items.append(
-            (
-                FeatureGrid(values=feats.astype(np.float32)),
-                LabelGrid(labels=labels.reshape(h, w), num_classes=int(k)),
-            )
-        )
-    return items
+    body = np.frombuffer(blob, dtype=record, count=n_images, offset=_HEADER.size)
+    feats, raw = body["features"], body["labels"]
+    problems = []  # (byte offset, message): the first bad feature and the first bad label
+    finite = np.isfinite(feats)
+    if not finite.all():
+        i, e = divmod(int(np.argmin(finite)), h * w * ch)
+        problems.append((_HEADER.size + i * record.itemsize + e * 4, "non-finite feature value in image %d" % i))
+    bad = (raw >= k) & (raw != IGNORE_CODE)
+    if bad.any():
+        i, e = divmod(int(np.argmax(bad)), h * w)
+        problems.append((_HEADER.size + i * record.itemsize + h * w * ch * 4 + e * 2,
+                         "label %d outside [0, %d) in image %d" % (int(raw[i].flat[e]), k, i)))
+    if problems:
+        raise FormatError(*min(problems))
+    labels = np.where(raw == IGNORE_CODE, np.int32(IGNORE), raw)
+    return [(FeatureGrid(values=f), LabelGrid(labels=l, num_classes=int(k))) for f, l in zip(feats, labels)]

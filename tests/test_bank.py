@@ -238,6 +238,29 @@ def test_oversized_patch_is_scaled_down_to_fit():
     assert rec.height >= 1 and rec.width >= 1
 
 
+def test_paste_fits_each_patch_to_its_target_image():
+    cfg = BankConfig(memory_size=1, sample_ratio=1.0, resize_ratio=1.0)
+    bank = TailMemoryBank(cfg, (1,), seed=0)
+    src = np.zeros((8, 8), dtype=int)
+    src[2:6, 1:4] = 1
+    bank.store(Batch(items=(make_item(src, k=2, fill=3),)))
+    batch = Batch(items=(make_item(np.zeros((8, 8), dtype=int), k=2, fill=0),
+                         make_item(np.zeros((2, 2), dtype=int), k=2, fill=0)))
+    targets = set()
+    for _ in range(6):
+        out = bank.retrieve_and_paste(batch)
+        for rec in out.records:
+            h, w = batch.items[rec.image_index][1].labels.shape
+            assert 0 <= rec.row and rec.row + rec.height <= h
+            assert 0 <= rec.col and rec.col + rec.width <= w
+        pasted = {rec.image_index for rec in out.records}
+        targets |= pasted
+        # an image nothing was pasted into is handed on as it is
+        for i, item in enumerate(batch.items):
+            assert (out.batch.items[i] is item) == (i not in pasted)
+    assert targets == {0, 1}
+
+
 def test_retrieve_replays_under_same_seed():
     def run(seed):
         bank = seeded_bank(seed=seed)

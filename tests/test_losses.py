@@ -338,4 +338,6 @@ def test_combined_loss_parts_and_linearity():
     assert combo.parts == {"auc": auc.loss, "ce": ce.loss}
     for g, ga, gc in zip(combo.gradients, auc.gradients, ce.gradients):
         assert grad_close(g, ga + lam * gc, 1e-12)
+    for rep in (combo, auc, ce):
+        assert not any(g.flags.writeable for g in rep.gradients)
 

@@ -50,13 +50,14 @@ def test_ovo_metric_perfect_separation():
 
 def test_ovo_metric_equals_pair_counting_oracle():
     rng = RNG(17)
-    for _ in range(12):
+    # the last batch mixes image sizes, so each channel is gathered in pooled pixel order
+    for shapes in [((3, 4), (3, 4))] * 12 + [((3, 4), (2, 5))]:
         k = int(rng.integers(2, 5))
-        labels = [rng.integers(0, k, size=(3, 4)).astype(np.int32) for _ in range(2)]
+        labels = [rng.integers(0, k, size=shape).astype(np.int32) for shape in shapes]
         if len(np.unique(np.concatenate([l.ravel() for l in labels]))) < 2:
             continue
         # quantized scores force plenty of exact ties
-        scores = [np.round(softmax(rng.standard_normal((3, 4, k))), 1) for _ in range(2)]
+        scores = [np.round(softmax(rng.standard_normal(shape + (k,))), 1) for shape in shapes]
         assert ovo_auc_metric(scores, labels) == auc_metric_ref(scores, labels)
 
 

@@ -168,6 +168,10 @@ def test_segd_round_trip_bit_exact(tmp_path):
     for (f1, l1), (f2, l2) in zip(items, back):
         assert np.array_equal(f1.values, f2.values)
         assert np.array_equal(l1.labels, l2.labels)
+    # features are read-only views of one file buffer, not copies
+    a, b = back[0][0].values, back[1][0].values
+    assert a.base is b.base and np.shares_memory(a, a.base) and np.shares_memory(b, b.base)
+    assert not (a.flags.owndata or a.flags.writeable)
 
 
 def test_segd_preserves_ignore_labels(tmp_path):
@@ -245,3 +249,32 @@ def test_write_segd_rejects_empty_and_mixed_dims(tmp_path):
     b, _ = generate(small_config(images=1, height=8))
     with pytest.raises(ValidationError):
         write_segd(tmp_path / "x.segd", [a[0], b[0]])
+
+
+def test_segd_non_finite_feature_names_exact_offset(tmp_path):
+    items, _ = generate(small_config(images=2))
+    path = tmp_path / "d.segd"
+    write_segd(path, items)
+    h, w, ch = items[0][0].values.shape
+    # fifth feature value of image 1
+    off = _HEADER.size + (h * w * ch * 4 + h * w * 2) + 4 * 4
+    corrupt(path, off, np.array([np.nan], dtype="<f4").tobytes())
+    with pytest.raises(FormatError) as e:
+        read_segd(path)
+    assert e.value.offset == off
+    assert "image 1" in str(e.value)
+
+
+def test_segd_reports_first_problem_in_file_order(tmp_path):
+    items, _ = generate(small_config(images=2, num_classes=4))
+    path = tmp_path / "d.segd"
+    write_segd(path, items)
+    h, w, ch = items[0][0].values.shape
+    label_off = _HEADER.size + h * w * ch * 4 + 2  # second label of image 0
+    inf_off = _HEADER.size + h * w * ch * 4 + h * w * 2  # first feature of image 1
+    corrupt(path, inf_off, np.array([np.inf], dtype="<f4").tobytes())
+    corrupt(path, label_off, (4).to_bytes(2, "little"))
+    with pytest.raises(FormatError) as e:
+        read_segd(path)
+    assert e.value.offset == label_off
+    assert "label 4" in str(e.value)
