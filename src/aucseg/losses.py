@@ -222,6 +222,11 @@ def _hinge_pairs(scores, bins, wt):
     return float(loss), np.ascontiguousarray(grad.T)
 
 
+def _pool(scores, labels):
+    score_arrays, bins, k, spans = pool_batch(scores, labels)
+    return np.concatenate([s.reshape(-1, k) for s in score_arrays]), bins, k, spans
+
+
 def _scatter(grad_flat, spans):
     grad_flat.setflags(write=False)  # before slicing, so every per-image view is read-only
     return tuple(grad_flat[span].reshape(shape) for shape, span in spans)
@@ -230,8 +235,7 @@ def _scatter(grad_flat, spans):
 def _auc_loss(mode, scores, labels, kind, pasted, pair_norm):
     if pair_norm not in ("union", "original"):
         raise ValidationError("pair_norm must be 'union' or 'original', got %r" % (pair_norm,))
-    score_arrays, bins, k, spans = pool_batch(scores, labels)
-    pooled_s = np.concatenate([s.reshape(-1, k) for s in score_arrays])
+    pooled_s, bins, k, spans = _pool(scores, labels)
     if not np.all(np.isfinite(pooled_s)):
         raise ValidationError("scores must be finite")
     if np.count_nonzero(np.bincount(bins, minlength=k + 1)[:k]) < 2:
@@ -281,8 +285,7 @@ def ova_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") 
 
 def ce_loss(scores, labels) -> LossReport:
     """Mean cross entropy over labeled pixels, probabilities clamped at 1e-12."""
-    score_arrays, bins, k, spans = pool_batch(scores, labels)
-    pooled_s = np.concatenate([s.reshape(-1, k) for s in score_arrays])
+    pooled_s, bins, k, spans = _pool(scores, labels)
     rows = np.flatnonzero(bins < k)
     if rows.size == 0:
         raise ValidationError("no labeled pixels: cross entropy undefined")

@@ -183,9 +183,8 @@ def read_segd(path):
     """Parse a .segd file back into [(FeatureGrid, LabelGrid)].
 
     Features are read-only views of the file buffer, which stays in
-    memory while any of them lives; labels are decoded to int32.
-    Malformed input raises FormatError carrying the byte offset of the
-    first problem in file order.
+    memory while any of them lives. Malformed input raises FormatError
+    carrying the byte offset of the first problem in file order.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -202,25 +201,23 @@ def read_segd(path):
         raise FormatError(12, "class count %d outside [2, %d]" % (k, MAX_CLASSES))
     if h == 0 or w == 0 or ch == 0:
         raise FormatError(16, "zero image dimension (h=%d, w=%d, c=%d)" % (h, w, ch))
-    record = np.dtype([("features", "<f4", (h, w, ch)), ("labels", "<u2", (h, w))])
-    expected = _HEADER.size + n_images * record.itemsize
+    feat_bytes, lab_bytes = h * w * ch * 4, h * w * 2  # Python ints: a corrupt header cannot overflow them
+    expected = _HEADER.size + n_images * (feat_bytes + lab_bytes)
     if len(blob) < expected:
         raise FormatError(len(blob), "file truncated, expected %d bytes" % expected)
     if len(blob) > expected:
         raise FormatError(expected, "%d trailing bytes after the last image" % (len(blob) - expected))
-    body = np.frombuffer(blob, dtype=record, count=n_images, offset=_HEADER.size)
-    feats, raw = body["features"], body["labels"]
-    problems = []  # (byte offset, message): the first bad feature and the first bad label
-    finite = np.isfinite(feats)
-    if not finite.all():
-        i, e = divmod(int(np.argmin(finite)), h * w * ch)
-        problems.append((_HEADER.size + i * record.itemsize + e * 4, "non-finite feature value in image %d" % i))
-    bad = (raw >= k) & (raw != IGNORE_CODE)
-    if bad.any():
-        i, e = divmod(int(np.argmax(bad)), h * w)
-        problems.append((_HEADER.size + i * record.itemsize + h * w * ch * 4 + e * 2,
-                         "label %d outside [0, %d) in image %d" % (int(raw[i].flat[e]), k, i)))
-    if problems:
-        raise FormatError(*min(problems))
-    labels = np.where(raw == IGNORE_CODE, np.int32(IGNORE), raw)
-    return [(FeatureGrid(values=f), LabelGrid(labels=l, num_classes=int(k))) for f, l in zip(feats, labels)]
+    items = []
+    for i, off in enumerate(range(_HEADER.size, expected, feat_bytes + lab_bytes)):
+        feats = np.frombuffer(blob, dtype="<f4", count=h * w * ch, offset=off).reshape(h, w, ch)
+        bad = np.flatnonzero(~np.isfinite(feats.reshape(-1)))
+        if bad.size:
+            raise FormatError(off + int(bad[0]) * 4, "non-finite feature value in image %d" % i)
+        off += feat_bytes
+        raw = np.frombuffer(blob, dtype="<u2", count=h * w, offset=off)
+        bad = np.flatnonzero((raw != IGNORE_CODE) & (raw >= k))
+        if bad.size:
+            raise FormatError(off + int(bad[0]) * 2, "label %d outside [0, %d) in image %d" % (int(raw[bad[0]]), k, i))
+        labels = np.where(raw == IGNORE_CODE, np.int32(IGNORE), raw).reshape(h, w)
+        items.append((FeatureGrid(values=feats), LabelGrid(labels=labels, num_classes=int(k))))
+    return items

@@ -170,7 +170,10 @@ def test_segd_round_trip_bit_exact(tmp_path):
         assert np.array_equal(l1.labels, l2.labels)
     # features are read-only views of one file buffer, not copies
     a, b = back[0][0].values, back[1][0].values
-    assert a.base is b.base and np.shares_memory(a, a.base) and np.shares_memory(b, b.base)
+    buf = a.base.base
+    assert isinstance(buf, bytes) and b.base.base is buf
+    whole = np.frombuffer(buf, dtype=np.uint8)
+    assert np.shares_memory(a, whole) and np.shares_memory(b, whole)
     assert not (a.flags.owndata or a.flags.writeable)
 
 
@@ -213,6 +216,14 @@ def test_segd_structured_errors(tmp_path):
     with pytest.raises(FormatError) as e:
         read_segd(path)
     assert e.value.offset == 12
+
+    # image sizes from a corrupt header are not trusted before the length check
+    for dims in ((0xFFFFFFFF, 4, 3), (46341, 46341, 1)):
+        path.write_bytes(good)
+        corrupt(path, 16, b"".join(d.to_bytes(4, "little") for d in dims))
+        with pytest.raises(FormatError) as e:
+            read_segd(path)
+        assert e.value.offset == len(good)
 
     # truncation points at where the data ran out
     path.write_bytes(good[: len(good) - 10])
