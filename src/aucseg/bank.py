@@ -13,7 +13,7 @@ same evictions and pastes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,14 +53,12 @@ class MaskedPatch:
     mask: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float32)
-        m = np.asarray(self.mask, dtype=bool)
+        f = np.array(self.features, dtype=np.float32)
+        m = np.array(self.mask, dtype=bool)
         if f.ndim != 3 or m.shape != f.shape[:2]:
             raise ValidationError("patch features (h, w, C) and mask (h, w) must agree")
         if not m.any():
             raise ValidationError("patch mask must have at least one set pixel")
-        f = f.copy()
-        m = m.copy()
         f.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "features", f)
@@ -81,15 +79,16 @@ class PasteRecord:
 class RetrieveResult:
     """Augmented batch plus what the retrieve pass actually did.
 
-    ``skipped`` lists classes that were drawn but had an empty store;
-    they consume sampling slots without a redraw. ``pasted_masks`` marks
-    every overwritten pixel, one (H, W) bool array per image.
+    ``skipped`` lists classes that were drawn but pasted no pixel, because
+    their store was empty or the resize left no set pixel; they consume
+    sampling slots without a redraw. ``pasted_masks`` marks every
+    overwritten pixel, one (H, W) bool array per image.
     """
 
     batch: Batch
     records: tuple
     skipped: tuple
-    pasted_masks: tuple = field(default=())
+    pasted_masks: tuple
 
 
 def select_tail_classes(stats: ClassStats, tail_fraction: float):
@@ -115,20 +114,12 @@ def select_tail_classes(stats: ClassStats, tail_fraction: float):
 
 def missing_tail_classes(label_grids, tail_classes):
     """Tail classes with zero pixels anywhere in the batch, ascending."""
-    tail = sorted(set(int(c) for c in tail_classes))
-    if not tail:
-        return ()
-    seen = set()
-    for g in label_grids:
-        lab = g.labels if isinstance(g, LabelGrid) else np.asarray(g)
-        for c in tail:
-            if c not in seen and np.any(lab == c):
-                seen.add(c)
-    return tuple(c for c in tail if c not in seen)
+    labs = [g.labels if isinstance(g, LabelGrid) else np.asarray(g) for g in label_grids]
+    return tuple(c for c in sorted(set(int(c) for c in tail_classes))
+                 if not any(np.any(lab == c) for lab in labs))
 
 
-def _tight_patch(feat: FeatureGrid, lab: LabelGrid, class_id: int):
-    hit = lab.labels == class_id
+def _tight_patch(feat: FeatureGrid, hit: np.ndarray, class_id: int):
     rows = np.nonzero(hit.any(axis=1))[0]
     cols = np.nonzero(hit.any(axis=0))[0]
     r0, r1 = rows[0], rows[-1] + 1
@@ -176,33 +167,24 @@ class TailMemoryBank:
     def _admit(self, patch: MaskedPatch):
         store = self._stores[patch.class_id]
         used = self._used[patch.class_id]
-        cap = self.config.memory_size
-        if len(store) < cap:
-            store.append(patch)
-            used.append(False)
-            return
         strat = self.config.strategy
-        if strat == "fifo":
+        if strat == "fifo" and len(store) == self.config.memory_size:
             # oldest out, arrival order preserved
             del store[0]
             del used[0]
+        if len(store) < self.config.memory_size:
             store.append(patch)
             used.append(False)
-        elif strat == "lifo":
-            store[-1] = patch
-            used[-1] = False
-        elif strat == "pu":
+            return
+        if strat == "lifo":
+            victim = len(store) - 1
+        elif strat == "pu" and any(used):
             hit = [i for i, u in enumerate(used) if u]
-            if hit:
-                victim = hit[int(self.rng.integers(len(hit)))]
-            else:
-                victim = int(self.rng.integers(len(store)))
-            store[victim] = patch
-            used[victim] = False
+            victim = hit[int(self.rng.integers(len(hit)))]
         else:
             victim = int(self.rng.integers(len(store)))
-            store[victim] = patch
-            used[victim] = False
+        store[victim] = patch
+        used[victim] = False
 
     def store(self, batch: Batch) -> int:
         """Store one patch per (image, tail class) occurrence; returns how many."""
@@ -214,8 +196,9 @@ class TailMemoryBank:
         stored = 0
         for c in self.tail_classes:
             for feat, lab in batch:
-                if np.any(lab.labels == c):
-                    self._admit(_tight_patch(feat, lab, c))
+                hit = lab.labels == c
+                if hit.any():
+                    self._admit(_tight_patch(feat, hit, c))
                     stored += 1
         return stored
 
@@ -225,9 +208,10 @@ class TailMemoryBank:
         Draw order per call: the set of classes (without replacement),
         then for each drawn class with a nonempty store the patch index,
         target image, and top-left position. Drawn classes with empty
-        stores are skipped and not redrawn. Each patch is fit to its
-        target image. Returns a new batch that shares the untouched
-        items; only the images pasted into are copied.
+        stores, and those whose resized patch keeps no set pixel, are
+        skipped and not redrawn. Each patch is fit to its target image.
+        Returns a new batch that shares the untouched items; only the
+        images pasted into are copied.
         """
         c_miss = missing_tail_classes(batch.labels, self.tail_classes)
         masks = tuple(np.zeros((lab.height, lab.width), dtype=bool) for lab in batch.labels)
@@ -249,10 +233,7 @@ class TailMemoryBank:
             patch = store[pi]
             self._used[c][pi] = True
             t = int(self.rng.integers(len(batch)))
-            if t not in edited:
-                edited[t] = (items[t][0].values.copy(), items[t][1].labels.copy())
-            feats, labs = edited[t]
-            height, width = labs.shape
+            height, width = batch.items[t][1].labels.shape
             ph, pw = patch.mask.shape
             nh = max(1, int(round(ph * self.config.resize_ratio)))
             nw = max(1, int(round(pw * self.config.resize_ratio)))
@@ -263,6 +244,12 @@ class TailMemoryBank:
             pf, pm = _nearest_resize(patch, nh, nw)
             r0 = int(self.rng.integers(height - nh + 1))
             c0 = int(self.rng.integers(width - nw + 1))
+            if not pm.any():
+                skipped.append(c)
+                continue
+            if t not in edited:
+                edited[t] = (items[t][0].values.copy(), items[t][1].labels.copy())
+            feats, labs = edited[t]
             win = (slice(r0, r0 + nh), slice(c0, c0 + nw))
             feats[win][pm] = pf[pm]
             labs[win][pm] = c

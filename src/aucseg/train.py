@@ -23,7 +23,7 @@ import numpy as np
 
 from .bank import BankConfig, TailMemoryBank, missing_tail_classes, select_tail_classes
 from .errors import FormatError, NumericalError, ValidationError
-from .grids import Batch, FeatureGrid, LabelGrid, ScoreGrid, class_stats
+from .grids import Batch, FeatureGrid, ScoreGrid, class_stats
 from .losses import SURROGATES, ce_loss, combined_loss, softmax, softmax_backward
 from .metrics import argmax_labels, auto_partition, iou_report, ovo_auc_metric
 

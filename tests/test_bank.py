@@ -226,6 +226,19 @@ def test_resize_ratio_nearest_neighbor():
     assert win.tolist() == [[0.0, 2.0], [8.0, 10.0]]
 
 
+def test_resize_that_keeps_no_set_pixel_is_skipped():
+    # the 3x3 patch is set only at (0, 2) and (2, 0); halved to 2x2, the
+    # nearest-neighbour map reads source rows and cols 0 and 1, all unset
+    cfg = BankConfig(memory_size=1, sample_ratio=1.0, resize_ratio=0.5)
+    bank = TailMemoryBank(cfg, (1,), seed=0)
+    bank.store(Batch(items=(make_item([[0, 0, 1], [0, 0, 0], [1, 0, 0]], k=2),)))
+    item = make_item(np.zeros((4, 4), dtype=int), k=2, fill=0)
+    out = bank.retrieve_and_paste(Batch(items=(item,)))
+    assert out.records == () and out.skipped == (1,)
+    assert out.batch.items[0] is item
+    assert not out.pasted_masks[0].any()
+
+
 def test_oversized_patch_is_scaled_down_to_fit():
     cfg = BankConfig(memory_size=1, sample_ratio=1.0, resize_ratio=1.0)
     bank = TailMemoryBank(cfg, (1,), seed=9)

@@ -177,6 +177,18 @@ def test_segd_round_trip_bit_exact(tmp_path):
     assert not (a.flags.owndata or a.flags.writeable)
 
 
+def test_segd_file_known_answer(tmp_path):
+    # digest taken with numpy 2.4.6 on x86-64; the noise goes through
+    # np.log, np.cos and np.sin, which numpy may compute differently elsewhere
+    items, _ = generate(small_config())
+    path = tmp_path / "k.segd"
+    write_segd(path, items)
+    blob = path.read_bytes()
+    assert len(blob) == 12124
+    assert hashlib.sha256(blob).hexdigest() == (
+        "df3542f2a54245b58aa9425e3465d3b6e54fec60bcf00c6db0578d444d81c2d1")
+
+
 def test_segd_preserves_ignore_labels(tmp_path):
     items, _ = generate(small_config(images=1))
     feat, lab = items[0]

@@ -1,6 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
+import aucseg
 from aucseg import (Batch, BankConfig, FormatError, GenConfig, NumericalError,
                     TrainConfig, ValidationError, combined_loss, forward,
                     generate, init_model, learning_rate, load_model, save_model,
@@ -23,6 +26,14 @@ def quick_config(**kw):
                 warmup_iters=5, head_count=1, middle_count=1, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def test_package_attribute_train_is_the_function_not_the_module():
+    # the package re-exports train() under the submodule's name, so the
+    # module itself is reached through importlib (or sys.modules)
+    module = importlib.import_module("aucseg.train")
+    assert aucseg.train is module.train and aucseg.train is not module
+    assert module.forward is aucseg.forward
 
 
 # ------------------------------------------------------------------- schedule
@@ -98,6 +109,25 @@ def test_segm_structured_errors(tmp_path):
     with pytest.raises(FormatError) as e:
         load_model(path)
     assert e.value.offset == len(good) - 3
+
+    bad = bytearray(good)
+    bad[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(bad))
+    with pytest.raises(FormatError, match="version") as e:
+        load_model(path)
+    assert e.value.offset == 4
+
+    bad = bytearray(good)
+    bad[8:12] = bytes(4)
+    path.write_bytes(bytes(bad))
+    with pytest.raises(FormatError, match="zero model dimension") as e:
+        load_model(path)
+    assert e.value.offset == 8
+
+    path.write_bytes(good + b"\0")
+    with pytest.raises(FormatError, match="trailing") as e:
+        load_model(path)
+    assert e.value.offset == len(good)
 
 
 # ------------------------------------------------------------------- training
