@@ -217,26 +217,27 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the per-pixel model")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--surrogate", choices=SURROGATES, default="square")
-    t.add_argument("--mode", choices=("ovo", "ova"), default="ovo")
-    t.add_argument("--objective", choices=("auc-ce", "ce"), default="auc-ce")
-    t.add_argument("--lambda", dest="lam", type=float, default=0.25)
-    t.add_argument("--pair-norm", choices=("union", "original"), default="union")
-    t.add_argument("--batch-size", type=int, default=8)
-    t.add_argument("--max-iter", type=int, default=500)
-    t.add_argument("--base-lr", type=float, default=0.5)
-    t.add_argument("--lr-floor", type=float, default=1e-6)
-    t.add_argument("--warmup-iters", type=int, default=50)
-    t.add_argument("--eval-every", type=int, default=100)
-    t.add_argument("--eval-fraction", type=float, default=0.2)
-    t.add_argument("--head-count", type=int, default=0)
-    t.add_argument("--middle-count", type=int, default=0)
-    t.add_argument("--memory-size", type=int, default=5, help="0 disables the bank")
-    t.add_argument("--sample-ratio", type=float, default=0.05)
-    t.add_argument("--resize-ratio", type=float, default=0.4)
-    t.add_argument("--strategy", choices=STRATEGIES, default="random")
+    t.add_argument("--surrogate", choices=SURROGATES, default=TrainConfig.surrogate)
+    t.add_argument("--mode", choices=("ovo", "ova"), default=TrainConfig.mode)
+    t.add_argument("--objective", choices=("auc-ce", "ce"), default=TrainConfig.objective.replace("_", "-"))
+    t.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.lam)
+    t.add_argument("--pair-norm", choices=("union", "original"), default=TrainConfig.pair_norm)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--max-iter", type=int, default=TrainConfig.max_iter)
+    t.add_argument("--base-lr", type=float, default=TrainConfig.base_lr)
+    t.add_argument("--lr-floor", type=float, default=TrainConfig.lr_floor)
+    t.add_argument("--warmup-iters", type=int, default=TrainConfig.warmup_iters)
+    t.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
+    t.add_argument("--eval-fraction", type=float, default=TrainConfig.eval_fraction)
+    t.add_argument("--head-count", type=int, default=TrainConfig.head_count)
+    t.add_argument("--middle-count", type=int, default=TrainConfig.middle_count)
+    t.add_argument("--memory-size", type=int, default=BankConfig.memory_size, help="0 disables the bank")
+    t.add_argument("--sample-ratio", type=float, default=BankConfig.sample_ratio)
+    t.add_argument("--resize-ratio", type=float, default=BankConfig.resize_ratio)
+    t.add_argument("--strategy", choices=STRATEGIES, default=BankConfig.strategy)
+    # deliberately not BankConfig.tail_fraction (0.5): see the README's memory bank note
     t.add_argument("--tail-fraction", type=float, default=0.34)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a saved model on a dataset")

@@ -148,11 +148,11 @@ def class_pair_loss(scores, bins, w, kind):
     n, k = scores.shape
     wt = np.zeros((k + 1, k))  # wt[j, c]: weight of a class-j pixel as a negative on channel c
     wt[:k] = w.T
+    count = np.bincount(bins, minlength=k + 1)
     if kind == "hinge":
-        return _hinge_pairs(scores, bins, wt)
+        return _hinge_pairs(scores, bins, wt, count)
     onehot = np.zeros((n, k + 1))
     onehot[np.arange(n), bins] = 1.0
-    count = onehot.sum(axis=0)
     if kind == "square":
         # ell = (1 - a + b)^2 closes over per-class first and second moments
         m1 = onehot.T @ scores
@@ -191,7 +191,7 @@ def class_pair_loss(scores, bins, w, kind):
     return float(loss), grad
 
 
-def _hinge_pairs(scores, bins, wt):
+def _hinge_pairs(scores, bins, wt, count):
     """Hinge terms, one sort of the class-c scores per channel.
 
     A (positive a, negative b) pair is active iff a < b + 1. One
@@ -199,7 +199,6 @@ def _hinge_pairs(scores, bins, wt):
     weighted bincount of those counts the positives' suffix sums.
     """
     n, k = scores.shape
-    count = np.bincount(bins, minlength=k + 1)
     order = np.argsort(bins, kind="stable")
     starts = np.concatenate(([0], np.cumsum(count)))
     channels = np.ascontiguousarray(scores.T)

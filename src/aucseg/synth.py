@@ -218,6 +218,7 @@ def read_segd(path):
         bad = np.flatnonzero((raw != IGNORE_CODE) & (raw >= k))
         if bad.size:
             raise FormatError(off + int(bad[0]) * 2, "label %d outside [0, %d) in image %d" % (int(raw[bad[0]]), k, i))
-        labels = np.where(raw == IGNORE_CODE, np.int32(IGNORE), raw).reshape(h, w)
+        # as int16 0xFFFF reads as IGNORE (-1); LabelGrid makes the one int32 copy
+        labels = raw.view("<i2").reshape(h, w)
         items.append((FeatureGrid(values=feats), LabelGrid(labels=labels, num_classes=int(k))))
     return items

@@ -236,7 +236,7 @@ def train(items, cfg: TrainConfig) -> TrainResult:
     partition = auto_partition(stats, cfg.head_count, cfg.middle_count)
 
     bank = None
-    if cfg.objective == "auc_ce" and cfg.bank is not None and cfg.bank.memory_size > 0:
+    if cfg.objective == "auc_ce" and cfg.bank is not None:
         tail = select_tail_classes(stats, cfg.bank.tail_fraction)
         bank = TailMemoryBank(cfg.bank, tail, seed=bank_seed)
 

@@ -233,6 +233,15 @@ def exact_coverage_failure(presence, batch_size):
     return 1.0 - ok
 
 
+def simulate_coverage_per_image(presence, batch_size, trials, seed):
+    """Failures among trials that draw every image's presence of every class."""
+    rng = np.random.default_rng(seed)
+    covered = np.ones(trials, dtype=bool)
+    for p in presence:
+        covered &= (rng.random((trials, batch_size)) < p).any(axis=1)
+    return int(np.count_nonzero(~covered))
+
+
 def fd_gradient(fn, x, step=1e-5):
     """Central finite differences of scalar fn at flat array x."""
     x = np.asarray(x, dtype=np.float64)

@@ -4,8 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from aucseg import read_segd, save_model
-from aucseg.cli import main
+from aucseg import BankConfig, TrainConfig, read_segd, save_model
+from aucseg.cli import build_parser, main
 from aucseg.train import PixelModel
 
 
@@ -32,6 +32,18 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+
+
+def test_train_defaults_are_the_config_defaults():
+    args = vars(build_parser().parse_args(["train", "--data", "d", "--out", "o"]))
+    for key in ("command", "fn", "data", "out"):
+        del args[key]
+    # the one deliberate difference, explained in the README's memory bank note
+    assert args.pop("tail_fraction") == 0.34
+    assert args.pop("objective").replace("-", "_") == TrainConfig.objective
+    for key, value in args.items():
+        config = TrainConfig if key in TrainConfig.__dataclass_fields__ else BankConfig
+        assert value == getattr(config, key), key
 
 
 def test_gen_data_writes_parseable_dataset(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from aucseg import (ClassStats, ValidationError, empirical_presence,
                     required_batch_size, simulate_coverage, union_bound)
 
-from _oracles import exact_coverage_failure, required_b_ref
+from _oracles import exact_coverage_failure, required_b_ref, simulate_coverage_per_image
 
 
 def test_required_batch_size_matches_linear_scan():
@@ -49,6 +49,8 @@ def test_simulator_tracks_exact_failure_probability():
         res = simulate_coverage(presence, b, trials=40000, seed=11)
         se = max(np.sqrt(exact * (1 - exact) / res.trials), 1e-9)
         assert abs(res.failure_rate - exact) <= 4 * se
+        per_image = simulate_coverage_per_image(presence, b, 40000, seed=11) / 40000
+        assert abs(per_image - exact) <= 4 * se
 
 
 def test_simulator_heterogeneous_presence():
@@ -63,11 +65,23 @@ def test_simulator_is_deterministic_and_chunking_invariant(monkeypatch):
     a = simulate_coverage([0.4, 0.6], 7, trials=5000, seed=9)
     b = simulate_coverage([0.4, 0.6], 7, trials=5000, seed=9)
     assert a.failures == b.failures
-    # forcing tiny chunks must not change the draws' interpretation
+    # tiny chunks consume the same stream of uniforms, so the count is exact
     import aucseg.coverage as cov
     monkeypatch.setattr(cov, "_CHUNK_CELLS", 64)
     c = simulate_coverage([0.4, 0.6], 7, trials=5000, seed=9)
-    assert isinstance(c.failures, int) and abs(c.failure_rate - a.failure_rate) < 0.05
+    assert isinstance(c.failures, int) and c.failures == a.failures
+
+
+def test_simulator_failures_never_rise_with_batch_size():
+    # one seed shares the uniforms across batch sizes: a trial covered at B stays covered
+    failures = [simulate_coverage([0.05] * 12, b, trials=10000, seed=4).failures
+                for b in range(100, 300, 10)]
+    assert all(a >= b for a, b in zip(failures, failures[1:])), failures
+
+
+def test_simulator_deterministic_edge_cases():
+    assert simulate_coverage([1.0, 1.0, 1.0], 3, trials=500, seed=1).failures == 0
+    assert simulate_coverage([1.0, 0.0, 0.7], 50, trials=500, seed=1).failures == 500
 
 
 def test_simulate_coverage_validation():
