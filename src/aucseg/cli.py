@@ -13,6 +13,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -82,33 +83,14 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     items = read_segd(args.data)
+    # the train flags are parsed under their config field names
+    flags = vars(args)
     bank = None
     if args.memory_size > 0:
-        bank = BankConfig(
-            memory_size=args.memory_size,
-            sample_ratio=args.sample_ratio,
-            resize_ratio=args.resize_ratio,
-            strategy=args.strategy,
-            tail_fraction=args.tail_fraction,
-        )
-    cfg = TrainConfig(
-        surrogate=args.surrogate,
-        mode=args.mode,
-        objective=args.objective.replace("-", "_"),
-        lam=args.lam,
-        pair_norm=args.pair_norm,
-        batch_size=args.batch_size,
-        max_iter=args.max_iter,
-        base_lr=args.base_lr,
-        lr_floor=args.lr_floor,
-        warmup_iters=args.warmup_iters,
-        eval_every=args.eval_every,
-        eval_fraction=args.eval_fraction,
-        head_count=args.head_count,
-        middle_count=args.middle_count,
-        bank=bank,
-        seed=args.seed,
-    )
+        bank = BankConfig(**{f.name: flags[f.name] for f in fields(BankConfig)})
+    config = {f.name: flags[f.name] for f in fields(TrainConfig) if f.name != "bank"}
+    config["objective"] = args.objective.replace("-", "_")
+    cfg = TrainConfig(bank=bank, **config)
     result = train_and_save(items, cfg, args.out)
     last = result.evals[-1]
     print("finished %d iterations: miou=%s tail_miou=%s ovo_auc=%s (outputs in %s)"

@@ -207,35 +207,42 @@ class LossReport:
 
 
 def pool_batch(scores, labels):
-    """Check a batch and flatten its labels into (n,) class bins.
+    """Check a batch once and count its classes once: the one gate into
+    the loss and metric layer.
 
-    Scores and labels may be grids or plain arrays. Returns the per-image
-    score arrays uncopied (the caller's: never write into them), int64
-    bins in [0, K] with IGNORE in the extra bin K, K, and per-image
+    Scores and labels may be grids or plain arrays. A grid was checked
+    when it was built, so only its shape and class count are compared
+    here; a plain score array must be finite, a plain label array in
+    [0, K) or IGNORE. Returns the per-image score arrays uncopied (the
+    caller's: never write into them), int64 bins in [0, K] with IGNORE in
+    the extra bin K, K, the (K + 1,) count of each bin, and per-image
     (shape, slice) spans into the pooled pixel order.
     """
     score_arrays = [s.scores if isinstance(s, ScoreGrid) else np.asarray(s, dtype=np.float64) for s in scores]
-    label_arrays = [l.labels if isinstance(l, LabelGrid) else np.asarray(l) for l in labels]
-    if len(score_arrays) != len(label_arrays) or not score_arrays:
+    if len(score_arrays) != len(labels) or not score_arrays:
         raise ValidationError("need equal, nonzero numbers of score and label grids")
     k = score_arrays[0].shape[-1]
-    spans = []
+    label_arrays, spans = [], []
     offset = 0
-    for i, (s, l) in enumerate(zip(score_arrays, label_arrays)):
+    for i, (s, l) in enumerate(zip(score_arrays, labels)):
         if s.ndim != 3 or s.shape[-1] != k:
             raise ValidationError("score grid %d has shape %r, expected (H, W, %d)" % (i, s.shape, k))
-        src = labels[i]
-        if isinstance(src, LabelGrid) and src.num_classes != k:
-            raise ValidationError("label grid %d has %d classes, scores have %d slots" % (i, src.num_classes, k))
+        if not isinstance(scores[i], ScoreGrid) and not np.all(np.isfinite(s)):
+            raise ValidationError("score grid %d: scores must be finite" % i)
+        checked = isinstance(l, LabelGrid)
+        if checked and l.num_classes != k:
+            raise ValidationError("label grid %d has %d classes, scores have %d slots" % (i, l.num_classes, k))
+        l = l.labels if checked else np.asarray(l)
         if l.shape != s.shape[:2]:
             raise ValidationError("label grid %d shape %r does not match scores %r" % (i, l.shape, s.shape[:2]))
-        if l.size and (l.min() < IGNORE or l.max() >= k):
+        if not checked and l.size and (l.min() < IGNORE or l.max() >= k):
             raise ValidationError("label grid %d has labels outside [0, %d) and not IGNORE" % (i, k))
+        label_arrays.append(l)
         spans.append((s.shape, slice(offset, offset + l.size)))
         offset += l.size
     bins = np.concatenate([l.reshape(-1) for l in label_arrays]).astype(np.int64)
     bins[bins == IGNORE] = k
-    return score_arrays, bins, k, spans
+    return score_arrays, bins, k, np.bincount(bins, minlength=k + 1), spans
 
 
 def class_stats(label_grids) -> ClassStats:

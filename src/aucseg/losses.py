@@ -77,7 +77,7 @@ def pair_loss(pos, neg, kind="square") -> PairLossResult:
     scores[p:, 0] = b
     bins = np.repeat(np.arange(2), (p, n))
     w = np.array([[0.0, 1.0 / (p * n)], [0.0, 0.0]])
-    loss, grad = class_pair_loss(scores, bins, w, kind)
+    loss, grad = class_pair_loss(scores, bins, np.array([p, n, 0]), w, kind)
     return PairLossResult(loss, grad[:p, 0].copy(), grad[p:, 0].copy())
 
 
@@ -131,12 +131,12 @@ def softmax_backward(scores: np.ndarray, grad_scores: np.ndarray) -> np.ndarray:
     return s * (g - inner)
 
 
-def class_pair_loss(scores, bins, w, kind):
+def class_pair_loss(scores, bins, count, w, kind):
     """Weighted surrogate sum over every class pair of pooled pixels.
 
     scores is (n, K), bins (n,) class ids in [0, K] with K for ignored
-    pixels, and w[c, j] the weight of one (class-c pixel, class-j pixel)
-    pair scored on channel c:
+    pixels, count the (K + 1,) bincount of bins, and w[c, j] the weight
+    of one (class-c pixel, class-j pixel) pair scored on channel c:
 
         loss = sum_c sum_j w[c, j] sum_{m in c, t in j} ell(s[m, c] - s[t, c])
 
@@ -148,7 +148,6 @@ def class_pair_loss(scores, bins, w, kind):
     n, k = scores.shape
     wt = np.zeros((k + 1, k))  # wt[j, c]: weight of a class-j pixel as a negative on channel c
     wt[:k] = w.T
-    count = np.bincount(bins, minlength=k + 1)
     if kind == "hinge":
         return _hinge_pairs(scores, bins, wt, count)
     onehot = np.zeros((n, k + 1))
@@ -222,8 +221,8 @@ def _hinge_pairs(scores, bins, wt, count):
 
 
 def _pool(scores, labels):
-    score_arrays, bins, k, spans = pool_batch(scores, labels)
-    return np.concatenate([s.reshape(-1, k) for s in score_arrays]), bins, k, spans
+    score_arrays, bins, k, count, spans = pool_batch(scores, labels)
+    return np.concatenate([s.reshape(-1, k) for s in score_arrays]), bins, k, count, spans
 
 
 def _scatter(grad_flat, spans):
@@ -234,28 +233,26 @@ def _scatter(grad_flat, spans):
 def _auc_loss(mode, scores, labels, kind, pasted, pair_norm):
     if pair_norm not in ("union", "original"):
         raise ValidationError("pair_norm must be 'union' or 'original', got %r" % (pair_norm,))
-    pooled_s, bins, k, spans = _pool(scores, labels)
-    if not np.all(np.isfinite(pooled_s)):
-        raise ValidationError("scores must be finite")
-    if np.count_nonzero(np.bincount(bins, minlength=k + 1)[:k]) < 2:
+    pooled_s, bins, k, count, spans = _pool(scores, labels)
+    if np.count_nonzero(count[:k]) < 2:
         raise ValidationError("degenerate batch: AUC undefined with fewer than 2 classes present")
     # each pair term is a sum over all pixels divided by the product of the
     # class sizes: the sizes summed over ("union") or the pre-paste ones
-    size_bins = bins
+    size = count[:k]
     if pasted is not None:
         flat = np.concatenate([np.asarray(m, dtype=bool).reshape(-1) for m in pasted] or [np.zeros(0, bool)])
         if flat.size != bins.size:
             raise ValidationError("pasted masks cover %d pixels, batch has %d" % (flat.size, bins.size))
         if pair_norm == "original":
-            size_bins = np.where(flat, k, bins)
-    size = np.bincount(size_bins, minlength=k + 1)[:k].astype(np.float64)
+            size = np.bincount(bins[~flat], minlength=k + 1)[:k]
+    size = size.astype(np.float64)
     if mode == "ovo":
         denom = np.outer(size, size)
     else:
         denom = np.repeat((size * (size.sum() - size))[:, None], k, axis=1)
     w = np.divide(1.0, denom, out=np.zeros((k, k)), where=denom > 0)
     np.fill_diagonal(w, 0.0)
-    loss, grad = class_pair_loss(pooled_s, bins, w, kind)
+    loss, grad = class_pair_loss(pooled_s, bins, count, w, kind)
     return LossReport(loss=loss, gradients=_scatter(grad, spans))
 
 
@@ -284,7 +281,7 @@ def ova_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") 
 
 def ce_loss(scores, labels) -> LossReport:
     """Mean cross entropy over labeled pixels, probabilities clamped at 1e-12."""
-    pooled_s, bins, k, spans = _pool(scores, labels)
+    pooled_s, bins, k, _, spans = _pool(scores, labels)
     rows = np.flatnonzero(bins < k)
     if rows.size == 0:
         raise ValidationError("no labeled pixels: cross entropy undefined")

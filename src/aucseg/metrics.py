@@ -43,8 +43,7 @@ def ovo_auc_metric(scores, labels) -> float:
     class-c pixels scored above it and tied with it, summed per class as
     doubled integers (a win is 2, a tie 1), so half credit is exact.
     """
-    score_arrays, bins, k, _ = pool_batch(scores, labels)
-    count = np.bincount(bins, minlength=k + 1)
+    score_arrays, bins, k, count, _ = pool_batch(scores, labels)
     present = np.flatnonzero(count[:k])
     if present.size < 2:
         raise ValidationError("degenerate batch: AUC undefined with fewer than 2 classes present")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .grids import IGNORE, MAX_CLASSES, FeatureGrid, LabelGrid
+from .grids import MAX_CLASSES, FeatureGrid, LabelGrid
 from .rng import Splitmix64, mix64
 
 MAGIC = b"SEGD"
@@ -174,9 +174,8 @@ def write_segd(path, items):
             if feat.values.shape != (h, w, ch) or lab.labels.shape != (h, w) or lab.num_classes != k:
                 raise ValidationError("image %d does not match dataset dims" % i)
             f.write(np.ascontiguousarray(feat.values, dtype="<f4").tobytes())
-            enc = lab.labels.astype(np.int64)
-            enc[enc == IGNORE] = IGNORE_CODE
-            f.write(enc.astype("<u2").tobytes())
+            # int32 IGNORE (-1) wraps to IGNORE_CODE, mirroring read_segd's int16 view
+            f.write(lab.labels.astype("<u2").tobytes())
 
 
 def read_segd(path):

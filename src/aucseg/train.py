@@ -17,7 +17,7 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,11 +31,6 @@ MODEL_MAGIC = b"SEGM"
 MODEL_VERSION = 1
 
 _MODEL_HEADER = struct.Struct("<4sIII")
-
-METRIC_COLUMNS = (
-    "iteration", "loss", "loss_auc", "loss_ce",
-    "miou", "head_miou", "middle_miou", "tail_miou", "ovo_auc",
-)
 
 
 class PixelModel:
@@ -179,6 +174,9 @@ class EvalRow:
     middle_miou: float
     tail_miou: float
     ovo_auc: float
+
+
+METRIC_COLUMNS = tuple(f.name for f in fields(EvalRow))
 
 
 @dataclass

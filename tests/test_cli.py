@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ def test_train_defaults_are_the_config_defaults():
     for key, value in args.items():
         config = TrainConfig if key in TrainConfig.__dataclass_fields__ else BankConfig
         assert value == getattr(config, key), key
+
+
+def test_every_config_field_is_a_train_flag():
+    # cmd_train builds both configs from the flags named after their fields
+    args = vars(build_parser().parse_args(["train", "--data", "d", "--out", "o"]))
+    names = {f.name for f in fields(TrainConfig) if f.name != "bank"} | {f.name for f in fields(BankConfig)}
+    assert names - set(args) == set()
 
 
 def test_gen_data_writes_parseable_dataset(tmp_path, capsys):

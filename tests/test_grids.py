@@ -3,6 +3,7 @@ import pytest
 
 from aucseg import (IGNORE, Batch, FeatureGrid, LabelGrid, ScoreGrid,
                     ValidationError, class_stats)
+from aucseg.grids import pool_batch
 
 
 def test_label_grid_validates_range():
@@ -70,3 +71,14 @@ def test_class_stats_rejects_empty_and_mixed_k():
     g2 = LabelGrid(labels=np.zeros((2, 2), dtype=int), num_classes=3)
     with pytest.raises(ValidationError):
         class_stats([g1, g2])
+
+
+def test_pool_batch_counts_every_bin_with_ignore_in_bin_k():
+    labels = [LabelGrid(labels=np.array([[0, 2], [IGNORE, 2]]), num_classes=4),
+              np.array([[3, IGNORE, 0]])]
+    scores = [np.full((2, 2, 4), 0.25), ScoreGrid(scores=np.full((1, 3, 4), 0.25))]
+    _, bins, k, count, spans = pool_batch(scores, labels)
+    assert k == 4
+    assert bins.tolist() == [0, 2, 4, 2, 3, 4, 0]
+    assert count.tolist() == np.bincount(bins, minlength=k + 1).tolist() == [2, 0, 2, 1, 2]
+    assert [span for _, span in spans] == [slice(0, 4), slice(4, 7)]

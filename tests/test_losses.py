@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from aucseg import (IGNORE, LabelGrid, NumericalError, ScoreGrid,
                     ValidationError, ce_loss, combined_loss, ova_auc_loss,
-                    ovo_auc_loss, pair_loss, pair_loss_naive, softmax,
-                    softmax_backward)
+                    ovo_auc_loss, ovo_auc_metric, pair_loss, pair_loss_naive,
+                    softmax, softmax_backward)
 from aucseg.losses import SURROGATES
 
 from _oracles import ce_ref, fd_gradient, ova_ref, ovo_ref, pair_loss_ref
@@ -246,6 +246,17 @@ def test_label_grid_class_count_must_match_score_slots():
     # a raw label array may not name a class beyond the score slots
     with pytest.raises(ValidationError):
         ovo_auc_loss([sc], [np.array([[0, 1], [2, 3]])], "square")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fn", [ovo_auc_loss, ova_auc_loss, ce_loss, combined_loss, ovo_auc_metric],
+                         ids=lambda fn: fn.__name__)
+def test_nonfinite_plain_scores_raise(fn, bad):
+    labels = [np.array([[0, 1], [2, IGNORE]]), np.array([[1, 2], [0, 0]])]
+    scores = [softmax(s) for s in RNG(5).standard_normal((2, 2, 2, 3))]
+    scores[1][0, 1, 2] = bad  # in the second image, past the first one's check
+    with pytest.raises(ValidationError):
+        fn(scores, labels)
 
 
 @pytest.mark.parametrize("pair_norm", ["union", "original"])

@@ -198,6 +198,9 @@ def test_segd_preserves_ignore_labels(tmp_path):
     path = tmp_path / "i.segd"
     write_segd(path, items)
     assert read_segd(path)[0][1].labels[0, 0] == IGNORE
+    # the first label follows the header and the float32 features
+    offset = _HEADER.size + 4 * feat.values.size
+    assert path.read_bytes()[offset : offset + 2] == b"\xff\xff"
 
 
 def corrupt(path, offset, payload):
