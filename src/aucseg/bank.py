@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import Batch, ClassStats, FeatureGrid, LabelGrid
+from .grids import Batch, ClassStats, FeatureGrid, LabelGrid, class_stats
 
 STRATEGIES = ("random", "fifo", "lifo", "pu")
 
@@ -113,10 +113,15 @@ def select_tail_classes(stats: ClassStats, tail_fraction: float):
 
 
 def missing_tail_classes(label_grids, tail_classes):
-    """Tail classes with zero pixels anywhere in the batch, ascending."""
-    labs = [g.labels if isinstance(g, LabelGrid) else np.asarray(g) for g in label_grids]
-    return tuple(c for c in sorted(set(int(c) for c in tail_classes))
-                 if not any(np.any(lab == c) for lab in labs))
+    """Tail classes with zero pixels anywhere in the batch, ascending.
+
+    Reads the grids' class counts; a tail id outside [0, K) is an error.
+    """
+    count = class_stats(label_grids).count
+    tail = sorted(set(int(c) for c in tail_classes))
+    if tail and (tail[0] < 0 or tail[-1] >= count.size):
+        raise ValidationError("tail class ids must be in [0, %d), got %r" % (count.size, tuple(tail)))
+    return tuple(c for c in tail if count[c] == 0)
 
 
 def _tight_patch(feat: FeatureGrid, hit: np.ndarray, class_id: int):
@@ -196,9 +201,8 @@ class TailMemoryBank:
         stored = 0
         for c in self.tail_classes:
             for feat, lab in batch:
-                hit = lab.labels == c
-                if hit.any():
-                    self._admit(_tight_patch(feat, hit, c))
+                if lab.counts[c]:
+                    self._admit(_tight_patch(feat, lab.labels == c, c))
                     stored += 1
         return stored
 

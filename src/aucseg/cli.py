@@ -105,16 +105,11 @@ def cmd_eval(args) -> int:
     labels = [lab for _, lab in items]
     stats = class_stats(labels)
     partition = auto_partition(stats, args.head_count, args.middle_count)
-    report, auc = evaluate(model, items, partition)
-    tau = compute_tau(stats)
-    tau_norm = compute_tau(stats, mean_normalized=True)
-    rm = imbalance_ratio(stats, partition.head)
-    _emit_csv(args.out,
-              ["miou", "head_miou", "middle_miou", "tail_miou", "ovo_auc",
-               "tau", "tau_mean_normalized", "imbalance_ratio"],
-              [[format_number(report.mean_iou), format_number(report.group_means["head"]),
-                format_number(report.group_means["middle"]), format_number(report.group_means["tail"]),
-                format_number(auc), format_number(tau), format_number(tau_norm), format_number(rm)]])
+    row = evaluate(model, items, partition)
+    row["tau"] = compute_tau(stats)
+    row["tau_mean_normalized"] = compute_tau(stats, mean_normalized=True)
+    row["imbalance_ratio"] = imbalance_ratio(stats, partition.head)
+    _emit_csv(args.out, list(row), [[format_number(v) for v in row.values()]])
     return 0
 
 

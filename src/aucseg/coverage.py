@@ -42,8 +42,8 @@ def required_batch_size(num_classes: int, p_min: float, delta: float) -> int:
         raise ValidationError("delta must be in (0, 1), got %r" % (delta,))
     if p_min <= 0.0:
         raise ValidationError("class never present: no finite batch size covers it")
-    if p_min > 1.0:
-        raise ValidationError("p_min must be <= 1, got %r" % (p_min,))
+    if not (p_min <= 1.0):  # NaN fails here too
+        raise ValidationError("p_min must be in (0, 1], got %r" % (p_min,))
     if p_min == 1.0:
         return 1
     est = math.log(delta / num_classes) / math.log(1.0 - p_min)
@@ -82,7 +82,7 @@ def simulate_coverage(presence, batch_size: int, trials: int, seed: int = 0) -> 
     p = np.asarray(presence, dtype=np.float64).ravel()
     if p.size < 1:
         raise ValidationError("presence vector must be nonempty")
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails here too
         raise ValidationError("presence probabilities must lie in [0, 1]")
     if batch_size < 1:
         raise ValidationError("batch_size must be >= 1, got %d" % batch_size)

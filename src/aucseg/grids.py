@@ -52,10 +52,15 @@ class FeatureGrid:
 
 @dataclass(frozen=True)
 class LabelGrid:
-    """(H, W) int32 label map over K classes, IGNORE allowed."""
+    """(H, W) int32 label map over K classes, IGNORE allowed.
+
+    ``counts`` is derived once, when the grid is built: the (K,) int64
+    read-only number of pixels per class, IGNORE counted nowhere.
+    """
 
     labels: np.ndarray
     num_classes: int
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lab = np.asarray(self.labels)
@@ -67,14 +72,14 @@ class LabelGrid:
         if not (2 <= k <= MAX_CLASSES):
             raise ValidationError("num_classes must be in [2, %d], got %d" % (MAX_CLASSES, k))
         lab = lab.astype(np.int32, copy=True)
-        bad = (lab != IGNORE) & ((lab < 0) | (lab >= k))
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
+        if lab.min() < IGNORE or lab.max() >= k:
+            r, c = np.argwhere((lab != IGNORE) & ((lab < 0) | (lab >= k)))[0]
             raise ValidationError(
                 "label %d at (%d, %d) outside [0, %d) and not IGNORE" % (lab[r, c], r, c, k)
             )
         object.__setattr__(self, "labels", _freeze(lab))
         object.__setattr__(self, "num_classes", k)
+        object.__setattr__(self, "counts", _freeze(np.bincount(lab.reshape(-1) + 1, minlength=k + 1)[1:]))
 
     @property
     def height(self) -> int:
@@ -212,53 +217,48 @@ def pool_batch(scores, labels):
 
     Scores and labels may be grids or plain arrays. A grid was checked
     when it was built, so only its shape and class count are compared
-    here; a plain score array must be finite, a plain label array in
-    [0, K) or IGNORE. Returns the per-image score arrays uncopied (the
-    caller's: never write into them), int64 bins in [0, K] with IGNORE in
-    the extra bin K, K, the (K + 1,) count of each bin, and per-image
-    (shape, slice) spans into the pooled pixel order.
+    here; a plain score array must be finite, and a plain label array
+    becomes a LabelGrid over the score slots, so it meets the grid's
+    contract. Returns the per-image score arrays uncopied (the caller's:
+    never write into them), int64 bins in [0, K] with IGNORE in the extra
+    bin K, K, the (K + 1,) count of each bin, summed from the grids'
+    counts, and per-image (shape, slice) spans into the pooled pixel order.
     """
     score_arrays = [s.scores if isinstance(s, ScoreGrid) else np.asarray(s, dtype=np.float64) for s in scores]
     if len(score_arrays) != len(labels) or not score_arrays:
         raise ValidationError("need equal, nonzero numbers of score and label grids")
     k = score_arrays[0].shape[-1]
-    label_arrays, spans = [], []
+    grids, spans = [], []
     offset = 0
     for i, (s, l) in enumerate(zip(score_arrays, labels)):
         if s.ndim != 3 or s.shape[-1] != k:
             raise ValidationError("score grid %d has shape %r, expected (H, W, %d)" % (i, s.shape, k))
         if not isinstance(scores[i], ScoreGrid) and not np.all(np.isfinite(s)):
             raise ValidationError("score grid %d: scores must be finite" % i)
-        checked = isinstance(l, LabelGrid)
-        if checked and l.num_classes != k:
+        if not isinstance(l, LabelGrid):
+            l = LabelGrid(labels=l, num_classes=k)
+        elif l.num_classes != k:
             raise ValidationError("label grid %d has %d classes, scores have %d slots" % (i, l.num_classes, k))
-        l = l.labels if checked else np.asarray(l)
-        if l.shape != s.shape[:2]:
-            raise ValidationError("label grid %d shape %r does not match scores %r" % (i, l.shape, s.shape[:2]))
-        if not checked and l.size and (l.min() < IGNORE or l.max() >= k):
-            raise ValidationError("label grid %d has labels outside [0, %d) and not IGNORE" % (i, k))
-        label_arrays.append(l)
-        spans.append((s.shape, slice(offset, offset + l.size)))
-        offset += l.size
-    bins = np.concatenate([l.reshape(-1) for l in label_arrays]).astype(np.int64)
-    bins[bins == IGNORE] = k
-    return score_arrays, bins, k, np.bincount(bins, minlength=k + 1), spans
+        if l.labels.shape != s.shape[:2]:
+            raise ValidationError(
+                "label grid %d shape %r does not match scores %r" % (i, l.labels.shape, s.shape[:2]))
+        grids.append(l)
+        spans.append((s.shape, slice(offset, offset + l.labels.size)))
+        offset += l.labels.size
+    bins = np.concatenate([g.labels.reshape(-1) for g in grids]).astype(np.int64)
+    ignored = bins == IGNORE
+    bins[ignored] = k
+    return score_arrays, bins, k, np.append(sum(g.counts for g in grids), np.count_nonzero(ignored)), spans
 
 
 def class_stats(label_grids) -> ClassStats:
-    """Count pixels per class per image over a dataset of LabelGrids."""
+    """Stack the per-class pixel counts of a dataset of LabelGrids."""
     grids = list(label_grids)
     if not grids:
         raise ValidationError("empty dataset")
-    k = grids[0].num_classes
     for i, g in enumerate(grids):
         if not isinstance(g, LabelGrid):
             raise ValidationError("item %d is not a LabelGrid" % i)
-        if g.num_classes != k:
-            raise ValidationError("item %d: num_classes %d != %d" % (i, g.num_classes, k))
-    counts = np.zeros((len(grids), k), dtype=np.int64)
-    for i, g in enumerate(grids):
-        lab = g.labels
-        valid = lab != IGNORE
-        counts[i] = np.bincount(lab[valid].ravel(), minlength=k)
-    return ClassStats(per_image_counts=counts, num_classes=k)
+        if g.num_classes != grids[0].num_classes:
+            raise ValidationError("item %d: num_classes %d != %d" % (i, g.num_classes, grids[0].num_classes))
+    return ClassStats(per_image_counts=np.stack([g.counts for g in grids]), num_classes=grids[0].num_classes)

@@ -120,12 +120,15 @@ def iou_report(pred_labels, true_labels, partition: Partition | None = None) -> 
     """Pooled-confusion IoU per class plus overall and per-group means.
 
     Classes absent from both prediction and ground truth get NaN and are
-    excluded from every mean. Pixels labeled IGNORE are dropped.
+    excluded from every mean. Pixels labeled IGNORE are dropped. Plain
+    label arrays must hold integers in [0, K) or IGNORE.
     """
     preds = [p.labels if isinstance(p, LabelGrid) else np.asarray(p) for p in pred_labels]
     trues = [t.labels if isinstance(t, LabelGrid) else np.asarray(t) for t in true_labels]
     if len(preds) != len(trues) or not preds:
         raise ValidationError("need equal, nonzero numbers of predicted and true grids")
+    if not all(np.issubdtype(a.dtype, np.integer) for a in preds + trues):
+        raise ValidationError("labels must be integers")
     k = None
     for t in true_labels:
         if isinstance(t, LabelGrid):
@@ -140,8 +143,8 @@ def iou_report(pred_labels, true_labels, partition: Partition | None = None) -> 
         valid = t != IGNORE
         tv = t[valid].astype(np.int64)
         pv = p[valid].astype(np.int64)
-        if pv.size and (pv.min() < 0 or pv.max() >= k or tv.max() >= k):
-            raise ValidationError("labels outside [0, %d)" % k)
+        if pv.size and (min(pv.min(), tv.min()) < 0 or max(pv.max(), tv.max()) >= k):
+            raise ValidationError("labels outside [0, %d) and not IGNORE" % k)
         confusion += np.bincount(tv * k + pv, minlength=k * k).reshape(k, k)
     tp = np.diag(confusion).astype(np.float64)
     gt = confusion.sum(axis=1).astype(np.float64)

@@ -129,14 +129,15 @@ class TrainConfig:
             raise ValidationError("mode must be 'ovo' or 'ova'")
         if self.objective not in ("auc_ce", "ce"):
             raise ValidationError("objective must be 'auc_ce' or 'ce'")
-        if self.lam < 0:
-            raise ValidationError("lam must be >= 0")
+        # chained comparisons, so that NaN and inf fail them
+        if not (0 <= self.lam < math.inf):
+            raise ValidationError("lam must be finite and >= 0")
         if self.pair_norm not in ("union", "original"):
             raise ValidationError("pair_norm must be 'union' or 'original'")
         if self.batch_size < 1 or self.max_iter < 1:
             raise ValidationError("batch_size and max_iter must be >= 1")
-        if self.base_lr <= 0 or self.lr_floor < 0:
-            raise ValidationError("base_lr must be > 0 and lr_floor >= 0")
+        if not (0 < self.base_lr < math.inf and 0 <= self.lr_floor < math.inf):
+            raise ValidationError("base_lr must be finite and > 0, lr_floor finite and >= 0")
         if self.warmup_iters < 0 or self.eval_every < 1:
             raise ValidationError("warmup_iters must be >= 0 and eval_every >= 1")
         if not (0.0 < self.eval_fraction < 1.0):
@@ -201,13 +202,14 @@ def _backward(model, batch, scores, grads):
 
 
 def evaluate(model, items, partition):
+    """The eval metrics of a model on items, by name, in EvalRow's order."""
     feats = [f for f, _ in items]
     labels = [l for _, l in items]
     scores = forward(model, feats)
-    preds = argmax_labels(scores)
-    report = iou_report(preds, labels, partition)
-    auc = ovo_auc_metric(scores, labels)
-    return report, auc
+    report = iou_report(argmax_labels(scores), labels, partition)
+    groups = report.group_means
+    return {"miou": report.mean_iou, "head_miou": groups["head"], "middle_miou": groups["middle"],
+            "tail_miou": groups["tail"], "ovo_auc": ovo_auc_metric(scores, labels)}
 
 
 def train(items, cfg: TrainConfig) -> TrainResult:
@@ -288,15 +290,8 @@ def train(items, cfg: TrainConfig) -> TrainResult:
 
         steps.append(StepLog(it, rep.loss, loss_auc, loss_ce, lr, n_missing, n_pasted))
         if it % cfg.eval_every == 0 or it == cfg.max_iter:
-            report, auc = evaluate(model, eval_items, partition)
-            evals.append(EvalRow(
-                iteration=it, loss=rep.loss, loss_auc=loss_auc, loss_ce=loss_ce,
-                miou=report.mean_iou,
-                head_miou=report.group_means["head"],
-                middle_miou=report.group_means["middle"],
-                tail_miou=report.group_means["tail"],
-                ovo_auc=auc,
-            ))
+            evals.append(EvalRow(iteration=it, loss=rep.loss, loss_auc=loss_auc, loss_ce=loss_ce,
+                                 **evaluate(model, eval_items, partition)))
     return TrainResult(model=model, steps=steps, evals=evals,
                        train_indices=train_idx, eval_indices=eval_idx)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aucseg import (Batch, BankConfig, ClassStats, FeatureGrid, LabelGrid,
+from aucseg import (IGNORE, Batch, BankConfig, ClassStats, FeatureGrid, LabelGrid,
                     TailMemoryBank, ValidationError, missing_tail_classes,
                     select_tail_classes)
 
@@ -52,6 +52,16 @@ def test_missing_tail_classes():
     _, lab2 = make_item([[0, 0], [0, 2]], k=4)
     assert missing_tail_classes([lab1, lab2], (1, 2, 3)) == (3,)
     assert missing_tail_classes([lab1], (1,)) == ()
+
+
+def test_missing_tail_classes_rejects_raw_arrays_and_bad_ids():
+    _, lab = make_item([[0, IGNORE], [0, 0]], k=4)
+    with pytest.raises(ValidationError):
+        missing_tail_classes([lab.labels], (1,))
+    # -1 is IGNORE's code, not a class: it must not match ignored pixels
+    for bad in (-1, 4):
+        with pytest.raises(ValidationError):
+            missing_tail_classes([lab], (1, bad))
 
 
 # -------------------------------------------------------------------- storing

@@ -132,6 +132,13 @@ def test_simulate_coverage_csv(capsys):
     assert int(rows[2][0]) == required
 
 
+def test_simulate_coverage_nan_pmin_exits_3(capsys):
+    code, out, err = run(capsys, "simulate-coverage", "--classes", "3",
+                         "--pmin", "nan", "--delta", "0.01")
+    assert code == 3
+    assert err.startswith("error: validation: ")
+
+
 def test_bench_loss_reports_both_kernels(capsys):
     code, out, err = run(capsys, "bench-loss", "--pixels", "400", "--classes", "3",
                          "--surrogate", "all", "--repeat", "1", "--seed", "2")
@@ -148,6 +155,12 @@ def test_bench_loss_reports_both_kernels(capsys):
 
 def test_bench_loss_rejects_tiny_pixel_budget(capsys):
     code, out, err = run(capsys, "bench-loss", "--pixels", "3", "--classes", "4")
+    assert code == 3
+    assert err.startswith("error: validation: ")
+
+
+def test_bench_loss_rejects_more_than_64_classes(capsys):
+    code, out, err = run(capsys, "bench-loss", "--pixels", "200", "--classes", "65", "--repeat", "1")
     assert code == 3
     assert err.startswith("error: validation: ")
 

@@ -35,6 +35,9 @@ def test_required_batch_size_edge_cases():
         required_batch_size(5, 0.5, 1.5)
     with pytest.raises(ValidationError):
         required_batch_size(0, 0.5, 0.01)
+    for p_min, delta in ((np.nan, 0.01), (0.5, np.nan)):
+        with pytest.raises(ValidationError):
+            required_batch_size(5, p_min, delta)
 
 
 def test_union_bound_decreases_in_batch_size():
@@ -93,6 +96,8 @@ def test_simulate_coverage_validation():
         simulate_coverage([0.5], 5, 0)
     with pytest.raises(ValidationError):
         simulate_coverage([], 5, 100)
+    with pytest.raises(ValidationError):
+        simulate_coverage([np.nan, 0.5], 4, 1000)
 
 
 def test_empirical_presence():

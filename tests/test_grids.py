@@ -64,6 +64,20 @@ def test_class_stats_counts_and_presence():
     assert stats.num_images == 2
 
 
+def test_label_grid_counts_are_a_read_only_bincount():
+    labels = np.array([[0, 2, IGNORE], [2, 3, 2]])
+    lab = LabelGrid(labels=labels, num_classes=5)
+    assert lab.counts.dtype == np.int64
+    assert lab.counts.tolist() == np.bincount(labels[labels != IGNORE], minlength=5).tolist()
+    with pytest.raises(ValueError):
+        lab.counts[0] = 1
+
+
+def test_class_stats_rejects_raw_arrays():
+    with pytest.raises(ValidationError):
+        class_stats([np.zeros((2, 2), dtype=np.int32)])
+
+
 def test_class_stats_rejects_empty_and_mixed_k():
     with pytest.raises(ValidationError):
         class_stats([])

@@ -259,6 +259,16 @@ def test_nonfinite_plain_scores_raise(fn, bad):
         fn(scores, labels)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, bool])
+@pytest.mark.parametrize("fn", [ovo_auc_loss, ce_loss, ovo_auc_metric], ids=lambda fn: fn.__name__)
+def test_non_integer_plain_labels_raise(fn, dtype):
+    # 0.7 and True would otherwise be read as the class ids 0 and 1
+    labels = [np.array([[0.7, 1.0], [1.0, 0.0]]).astype(dtype)]
+    scores = [softmax(RNG(6).standard_normal((2, 2, 2)))]
+    with pytest.raises(ValidationError):
+        fn(scores, labels)
+
+
 @pytest.mark.parametrize("pair_norm", ["union", "original"])
 def test_pasted_pixels_and_normalization_modes(pair_norm):
     # every mode x surrogate runs inside each pair_norm case

@@ -109,6 +109,14 @@ def test_iou_group_means():
     assert report.group_means["head"] == 1.0
 
 
+def test_iou_plain_labels_must_be_class_ids_or_ignore():
+    with pytest.raises(ValidationError):  # truncated to 0 and 1, it scored 1.0
+        iou_report([[[0.7, 1.2]]], [[[0.5, 1.0]]])
+    with pytest.raises(ValidationError):
+        iou_report([np.array([[0, 1]])], [np.array([[-2, 1]])])
+    assert iou_report([np.array([[0, 1]])], [np.array([[IGNORE, 1]])]).mean_iou == 1.0
+
+
 def test_iou_shape_mismatch_errors():
     with pytest.raises(ValidationError):
         iou_report([np.zeros((2, 2), dtype=np.int32)], [np.zeros((2, 3), dtype=np.int32)])

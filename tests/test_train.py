@@ -254,3 +254,7 @@ def test_train_config_validation():
         TrainConfig(eval_fraction=0.0)
     with pytest.raises(ValidationError):
         TrainConfig(base_lr=0.0)
+    for bad in (np.nan, np.inf):
+        for name in ("lam", "base_lr", "lr_floor"):
+            with pytest.raises(ValidationError):
+                TrainConfig(**{name: bad})
