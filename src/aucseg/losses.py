@@ -14,11 +14,16 @@ two-class case. Each surrogate has one exact decomposition:
       channel (onehot^T S, onehot^T S^2), so the loss and every
       gradient entry close over (K+1, K) matrices.
   hinge   ell(x) = max(0, 1 - x)
-      per channel c, sort the class-c scores once; a pair is active iff
-      a < b + 1, so one searchsorted gives each pixel its count of
-      active positives, prefix sums their score sum, and a weighted
-      bincount of the counts the positives' gradients. At the kink the
-      subgradient 0 is chosen.
+      a pair is active iff a < b + 1. When every channel's scores span
+      less than 1, as softmax outputs in [0, 1] do short of saturating
+      to exactly 1.0, every pair is active and the hinge is the linear
+      surrogate 1 - a + b, which closes over the square branch's first
+      moments: on softmax scores a hinge result is a linear-surrogate
+      result. Otherwise, per channel c, sort the class-c scores once;
+      one searchsorted gives each pixel its count of active positives,
+      prefix sums their score sum, and a weighted bincount of the
+      counts the positives' gradients. At the kink the subgradient 0 is
+      chosen.
   exp     ell(x) = exp(-x)
       factorizes into per-class sums of exp(-a) and exp(b), each shifted
       by its channel's extreme score, so it overflows only when the
@@ -148,17 +153,29 @@ def class_pair_loss(scores, bins, count, w, kind):
     n, k = scores.shape
     wt = np.zeros((k + 1, k))  # wt[j, c]: weight of a class-j pixel as a negative on channel c
     wt[:k] = w.T
-    if kind == "hinge":
+    # fl(x + 1) is monotone, so a channel whose range is under 1 has
+    # a < fl(b + 1) for every pair: exactly the sort path's active set.
+    # The whole array's range bounds every channel's at a tenth of the cost.
+    if kind == "hinge" and not (scores.max() < scores.min() + 1.0
+                                or np.all(scores.max(axis=0) < scores.min(axis=0) + 1.0)):
         return _hinge_pairs(scores, bins, wt, count)
     onehot = np.zeros((n, k + 1))
     onehot[np.arange(n), bins] = 1.0
-    if kind == "square":
-        # ell = (1 - a + b)^2 closes over per-class first and second moments
+    if kind != "exp":
         m1 = onehot.T @ scores
-        m2 = onehot.T @ (scores * scores)
-        nk, d1, d2 = count[:k], np.diag(m1), np.diag(m2)
+        nk, d1 = count[:k], np.diag(m1)
         alpha = count @ wt
         beta = (wt * m1).sum(axis=0)
+    if kind == "hinge":
+        # every pair active: ell = 1 - a + b closes over first moments alone
+        loss = np.sum(alpha * (nk - d1) + nk * beta)
+        offset = wt * nk
+        offset[:k][np.diag_indices(k)] = -alpha
+        return float(loss), offset[bins]
+    if kind == "square":
+        # ell = (1 - a + b)^2 closes over per-class first and second moments
+        m2 = onehot.T @ (scores * scores)
+        d2 = np.diag(m2)
         gamma = (wt * m2).sum(axis=0)
         loss = np.sum(alpha * (nk - 2.0 * d1 + d2) + 2.0 * (nk - d1) * beta + nk * gamma)
         # gradient of a class-j pixel on channel c is offset[j, c] + slope[j, c] * s

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aucseg import (IGNORE, LabelGrid, NumericalError, ScoreGrid,
-                    ValidationError, ce_loss, combined_loss, ova_auc_loss,
-                    ovo_auc_loss, ovo_auc_metric, pair_loss, pair_loss_naive,
-                    softmax, softmax_backward)
+                    ValidationError, ce_loss, combined_loss, losses,
+                    ova_auc_loss, ovo_auc_loss, ovo_auc_metric, pair_loss,
+                    pair_loss_naive, softmax, softmax_backward)
 from aucseg.losses import SURROGATES
 
 from _oracles import ce_ref, fd_gradient, ova_ref, ovo_ref, pair_loss_ref
@@ -24,6 +24,20 @@ def grad_close(ga, gb, tol):
     ga = np.asarray(ga, dtype=np.float64).ravel()
     gb = np.asarray(gb, dtype=np.float64).ravel()
     return np.linalg.norm(ga - gb) <= tol * max(1.0, np.linalg.norm(ga), np.linalg.norm(gb))
+
+
+@pytest.fixture
+def sort_path(monkeypatch):
+    """Calls that reach the hinge sort path, one entry each."""
+    calls = []
+    real = losses._hinge_pairs
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(losses, "_hinge_pairs", spy)
+    return calls
 
 
 # ---------------------------------------------------------------- pair kernels
@@ -92,16 +106,19 @@ def test_pair_kernels_match_pure_python_oracle(kind):
 
 
 @pytest.mark.parametrize("kind", SURROGATES)
-def test_fast_matches_naive_on_big_uneven_splits(kind):
+def test_fast_matches_naive_on_big_uneven_splits(kind, sort_path):
     rng = RNG(7)
-    for p, n in ((1, 1500), (1500, 1), (700, 1300)):
-        pos = rng.uniform(0, 1, p)
-        neg = rng.uniform(0, 1, n)
+    splits = [(rng.uniform(0, 1, p), rng.uniform(0, 1, n))
+              for p, n in ((1, 1500), (1500, 1), (700, 1300))]
+    # plain scores far wider than the margin: the hinge takes its sort path
+    splits.append((3 * rng.standard_normal(900), 3 * rng.standard_normal(1100)))
+    for pos, neg in splits:
         fast = pair_loss(pos, neg, kind)
         naive = pair_loss_naive(pos, neg, kind)
         assert rel_close(fast.loss, naive.loss, 1e-9)
         assert grad_close(fast.grad_pos, naive.grad_pos, 1e-9)
         assert grad_close(fast.grad_neg, naive.grad_neg, 1e-9)
+    assert len(sort_path) == (kind == "hinge")
 
 
 @settings(max_examples=150, deadline=None)
@@ -173,6 +190,15 @@ def _instance(rng, n_images=2, h=3, w=4, k=3, ensure=2):
     return scores, labels
 
 
+def _instances(rng, count):
+    """count softmax batches, then one of the same labels with plain scores
+    spread far wider than the hinge margin."""
+    cases = [_instance(rng) for _ in range(count)]
+    scores, labels = cases[-1]
+    cases.append(([3 * rng.standard_normal(s.shape) for s in scores], labels))
+    return cases
+
+
 def test_ovo_hand_example():
     # one image, 1x4, classes [0,0,1,1]; both ordered pairs give mean 0.495
     labels = [np.array([[0, 0, 1, 1]], dtype=np.int32)]
@@ -182,27 +208,70 @@ def test_ovo_hand_example():
 
 
 @pytest.mark.parametrize("kind", SURROGATES)
-def test_ovo_matches_triple_loop_oracle(kind):
-    rng = RNG(5)
-    for _ in range(8):
-        scores, labels = _instance(rng)
+def test_ovo_matches_triple_loop_oracle(kind, sort_path):
+    for scores, labels in _instances(RNG(5), 8):
         ref_loss, ref_grads = ovo_ref(scores, labels, kind)
         rep = ovo_auc_loss(scores, labels, kind)
         assert rel_close(rep.loss, ref_loss, 1e-12)
         for g, rg in zip(rep.gradients, ref_grads):
             assert grad_close(g, rg, 1e-11)
+    # only the plain-score batch sorts; the softmax ones close over moments
+    assert len(sort_path) == (kind == "hinge")
 
 
 @pytest.mark.parametrize("kind", SURROGATES)
-def test_ova_matches_triple_loop_oracle(kind):
-    rng = RNG(6)
-    for _ in range(6):
-        scores, labels = _instance(rng)
+def test_ova_matches_triple_loop_oracle(kind, sort_path):
+    for scores, labels in _instances(RNG(6), 6):
         ref_loss, ref_grads = ova_ref(scores, labels, kind)
         rep = ova_auc_loss(scores, labels, kind)
         assert rel_close(rep.loss, ref_loss, 1e-12)
         for g, rg in zip(rep.gradients, ref_grads):
             assert grad_close(g, rg, 1e-11)
+    # only the plain-score batch sorts; the softmax ones close over moments
+    assert len(sort_path) == (kind == "hinge")
+
+
+@pytest.mark.parametrize("fn, ref", [(ovo_auc_loss, ovo_ref), (ova_auc_loss, ova_ref)],
+                         ids=["ovo", "ova"])
+def test_hinge_on_softmax_scores_closes_over_first_moments(fn, ref, monkeypatch):
+    # softmax scores lie in [0, 1], so every pair is inside the margin and
+    # the hinge is the linear 1 - a + b: the sort path is never needed
+    def no_sort(*args):
+        raise AssertionError("hinge took the sort path on softmax scores")
+
+    monkeypatch.setattr(losses, "_hinge_pairs", no_sort)
+    rng = RNG(31)
+    for i in range(4):
+        scores, labels = _instance(rng, n_images=3, h=3, w=3, k=4)
+        if i % 2:
+            # each channel still spans under 1, the array as a whole over 3
+            scores = [s + np.arange(4) for s in scores]
+        ref_loss, ref_grads = ref(scores, labels, "hinge")
+        rep = fn(scores, labels, "hinge")
+        assert rel_close(rep.loss, ref_loss, 1e-12)
+        for g, rg in zip(rep.gradients, ref_grads):
+            assert grad_close(g, rg, 1e-11)
+
+
+def test_hinge_falls_back_to_sorting_past_the_margin(sort_path):
+    # a range of 1.1 leaves the pair (0.9, -0.2) past the margin; at the
+    # kink the range is exactly 1, and max 1.0 is not below fl(0.0 + 1.0)
+    for pos, neg in (([0.4, 0.9], [-0.2, 0.5]), ([1.0], [0.0])):
+        fast = pair_loss(pos, neg, "hinge")
+        naive = pair_loss_naive(pos, neg, "hinge")
+        assert rel_close(fast.loss, naive.loss, 1e-9)
+        assert grad_close(fast.grad_pos, naive.grad_pos, 1e-9)
+        assert grad_close(fast.grad_neg, naive.grad_neg, 1e-9)
+    assert len(sort_path) == 2
+    # one wide channel sends the whole batch down the sort path
+    scores, labels = _instance(RNG(32), k=4)
+    scores[1][..., 2] = 3 * RNG(33).standard_normal(scores[1].shape[:2])
+    ref_loss, ref_grads = ova_ref(scores, labels, "hinge")
+    rep = ova_auc_loss(scores, labels, "hinge")
+    assert rel_close(rep.loss, ref_loss, 1e-12)
+    for g, rg in zip(rep.gradients, ref_grads):
+        assert grad_close(g, rg, 1e-11)
+    assert len(sort_path) == 3
 
 
 def test_pooling_across_images_differs_from_per_image_sum():
