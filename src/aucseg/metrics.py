@@ -26,10 +26,18 @@ from .grids import IGNORE, ClassStats, LabelGrid, ScoreGrid, pool_batch
 
 
 def argmax_labels(score_grids):
-    """Per-pixel argmax over class slots; ties go to the smaller class id."""
+    """Per-pixel argmax over class slots; ties go to the smaller class id.
+
+    A plain score array must be finite (a ScoreGrid was checked when built).
+    """
     out = []
-    for s in score_grids:
-        arr = s.scores if isinstance(s, ScoreGrid) else np.asarray(s, dtype=np.float64)
+    for i, s in enumerate(score_grids):
+        if isinstance(s, ScoreGrid):
+            arr = s.scores
+        else:
+            arr = np.asarray(s, dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("score grid %d: scores must be finite" % i)
         out.append(arr.argmax(axis=-1).astype(np.int32))
     return out
 
@@ -37,37 +45,40 @@ def argmax_labels(score_grids):
 def ovo_auc_metric(scores, labels) -> float:
     """Mean one-vs-one ranking metric over realized ordered class pairs.
 
-    Per channel c the channel-c scores are gathered in pooled pixel
-    order (no pooled (n, K) copy) and sorted once; two searchsorteds
-    into the class-c scores among them give every pixel the number of
-    class-c pixels scored above it and tied with it, summed per class as
-    doubled integers (a win is 2, a tie 1), so half credit is exact.
+    Pixels are grouped by class once (a stable radix argsort of the
+    bins). Per channel c the channel-c column is gathered in that order
+    and each class segment is sorted on its own. For an ordered pair
+    (c, d), a class-c pixel that channel c scores above a class-d pixel
+    counts 2 and a tie 1, so half credit stays exact; the integer sum
+    comes from searchsorteds of the smaller of the two sorted segments
+    into the larger.
     """
     score_arrays, bins, k, count, _ = pool_batch(scores, labels)
     present = np.flatnonzero(count[:k])
     if present.size < 2:
         raise ValidationError("degenerate batch: AUC undefined with fewer than 2 classes present")
-    doubled = np.zeros((k, k + 1))
-    for c in present:
-        column = np.concatenate([s[..., c].reshape(-1) for s in score_arrays])
-        order = np.argsort(column)
-        ranked = column[order]
-        ranked_bins = bins[order]
-        del order, column
-        pos = ranked[ranked_bins == c]
-        above = np.searchsorted(pos, ranked, side="right")
-        above += np.searchsorted(pos, ranked, side="left")
-        del ranked
-        np.subtract(2 * pos.size, above, out=above)
-        doubled[c] = np.bincount(ranked_bins, weights=above, minlength=k + 1)
-    realized = np.zeros((k, k), dtype=bool)
-    realized[np.ix_(present, present)] = True
-    np.fill_diagonal(realized, False)
-    pair_auc = (doubled[:, :k] / 2.0)[realized] / np.outer(count[:k], count[:k])[realized]
+    order = np.argsort(bins.astype(np.int16), kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(count)]).tolist()
     total = 0.0
-    for auc in pair_auc.tolist():  # (c, c') order, one rounding per pair
-        total += auc
-    return total / pair_auc.size
+    for c in present:
+        grouped = np.concatenate([s[..., c].reshape(-1) for s in score_arrays])[order]
+        segments = {d: grouped[bounds[d]:bounds[d + 1]] for d in present}
+        for segment in segments.values():
+            segment.sort()
+        pos = segments[c]
+        for d in present:
+            if d == c:
+                continue
+            q = segments[d]
+            if pos.size <= q.size:
+                doubled = (int(np.searchsorted(q, pos, side="left").sum())
+                           + int(np.searchsorted(q, pos, side="right").sum()))
+            else:
+                doubled = (2 * pos.size * q.size
+                           - int(np.searchsorted(pos, q, side="left").sum())
+                           - int(np.searchsorted(pos, q, side="right").sum()))
+            total += doubled / 2.0 / (pos.size * q.size)  # (c, c') order, one rounding per pair
+    return total / (present.size * (present.size - 1))
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,8 @@ def iou_report(pred_labels, true_labels, partition: Partition | None = None) -> 
 
     Classes absent from both prediction and ground truth get NaN and are
     excluded from every mean. Pixels labeled IGNORE are dropped. Plain
-    label arrays must hold integers in [0, K) or IGNORE.
+    label arrays must hold integers in [0, K) or IGNORE, and a partition
+    may name only classes in [0, K).
     """
     preds = [p.labels if isinstance(p, LabelGrid) else np.asarray(p) for p in pred_labels]
     trues = [t.labels if isinstance(t, LabelGrid) else np.asarray(t) for t in true_labels]
@@ -136,6 +148,11 @@ def iou_report(pred_labels, true_labels, partition: Partition | None = None) -> 
             break
     if k is None:
         k = int(max(int(p.max()) for p in preds + trues)) + 1
+    if partition is not None:
+        for name, members in partition.groups().items():
+            for c in members:
+                if not 0 <= c < k:
+                    raise ValidationError("partition %s names class %d outside [0, %d)" % (name, c, k))
     confusion = np.zeros((k, k), dtype=np.int64)
     for p, t in zip(preds, trues):
         if p.shape != t.shape:

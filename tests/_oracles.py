@@ -171,6 +171,42 @@ def auc_metric_ref(score_arrays, label_arrays):
     return total / pairs
 
 
+def ovo_auc_metric_argsort(score_arrays, label_arrays):
+    """ovo_auc_metric as one full argsort per channel, kept as its reference.
+
+    Per channel c the pooled channel-c column is argsorted; two
+    searchsorteds of every pixel into the class-c scores among them give
+    the class-c pixels above and tied with it, summed per class as doubled
+    integers. Takes plain arrays or grids (their .scores / .labels).
+    """
+    scores = [np.asarray(getattr(s, "scores", s), dtype=np.float64) for s in score_arrays]
+    k = scores[0].shape[-1]
+    bins = np.concatenate([np.asarray(getattr(l, "labels", l)).reshape(-1) for l in label_arrays]).astype(np.int64)
+    bins[bins == IGNORE] = k
+    count = np.bincount(bins, minlength=k + 1)
+    present = np.flatnonzero(count[:k])
+    assert present.size >= 2
+    doubled = np.zeros((k, k + 1))
+    for c in present:
+        column = np.concatenate([s[..., c].reshape(-1) for s in scores])
+        order = np.argsort(column)
+        ranked = column[order]
+        ranked_bins = bins[order]
+        pos = ranked[ranked_bins == c]
+        above = np.searchsorted(pos, ranked, side="right")
+        above += np.searchsorted(pos, ranked, side="left")
+        np.subtract(2 * pos.size, above, out=above)
+        doubled[c] = np.bincount(ranked_bins, weights=above, minlength=k + 1)
+    realized = np.zeros((k, k), dtype=bool)
+    realized[np.ix_(present, present)] = True
+    np.fill_diagonal(realized, False)
+    pair_auc = (doubled[:, :k] / 2.0)[realized] / np.outer(count[:k], count[:k])[realized]
+    total = 0.0
+    for auc in pair_auc.tolist():  # (c, c') order, one rounding per pair
+        total += auc
+    return total / pair_auc.size
+
+
 def iou_ref(pred_arrays, true_arrays, num_classes):
     """Per-class IoU from a hand-assembled confusion table; NaN if unseen."""
     conf = [[0] * num_classes for _ in range(num_classes)]

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from aucseg import (IGNORE, ClassStats, ValidationError, argmax_labels,
-                    compute_tau, imbalance_ratio, iou_report, make_partition,
+from aucseg import (IGNORE, ClassStats, GenConfig, Partition, ValidationError,
+                    argmax_labels, compute_tau, forward, generate,
+                    imbalance_ratio, init_model, iou_report, make_partition,
                     ovo_auc_metric, softmax)
 
-from _oracles import IOU_FIXTURES, auc_metric_ref, iou_ref, rm_ref, tau_ref
+from _oracles import (IOU_FIXTURES, auc_metric_ref, iou_ref,
+                      ovo_auc_metric_argsort, rm_ref, tau_ref)
 
 RNG = np.random.default_rng
 
@@ -61,6 +65,63 @@ def test_ovo_metric_equals_pair_counting_oracle():
         assert ovo_auc_metric(scores, labels) == auc_metric_ref(scores, labels)
 
 
+def batch_with_counts(rng, shapes, counts, quantum):
+    """Softmax scores over images of the given shapes, exactly counts[c] pixels
+    of class c scattered among them, every other pixel IGNORE.
+
+    Scores are rounded to multiples of quantum (None: left exact), and
+    channel 2 is one constant, so every pair it scores is a tie.
+    """
+    k = len(counts)
+    sizes = [h * w for h, w in shapes]
+    pooled = np.full(sum(sizes), IGNORE, dtype=np.int32)
+    pooled[:sum(counts)] = np.repeat(np.arange(k), counts)
+    rng.shuffle(pooled)
+    labels = [part.reshape(shape) for part, shape in zip(np.split(pooled, np.cumsum(sizes)[:-1]), shapes)]
+    scores = []
+    for h, w in shapes:
+        s = softmax(2.0 * rng.standard_normal((h, w, k)))
+        if quantum is not None:
+            s = np.round(s / quantum) * quantum
+        s[..., 2] = 0.25
+        scores.append(s)
+    return scores, labels
+
+
+@pytest.mark.parametrize("quantum", [None, 0.01, 0.1])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ovo_metric_matches_argsort_reference(seed, quantum):
+    # class 0 meets the smaller class 1 (searched into from 1's side) and the
+    # equal-sized class 2 (P == Q); class 3 is one pixel; slot 4 never occurs;
+    # 171 pixels are IGNORE; the three images differ in size
+    rng = RNG(seed)
+    scores, labels = batch_with_counts(rng, [(20, 30), (17, 11), (9, 25)], [400, 40, 400, 1, 0], quantum)
+    assert ovo_auc_metric(scores, labels) == ovo_auc_metric_argsort(scores, labels)
+
+
+def test_ovo_metric_matches_argsort_reference_on_generated_k19():
+    presence = (1.0,) * 13 + (0.05,) * 6
+    items, _ = generate(GenConfig(num_classes=19, height=32, width=32, channels=6, images=40,
+                                  zipf_s=1.2, presence=presence, feature_noise_sigma=0.35, seed=4))
+    scores = forward(init_model(6, 19, seed=1), [f for f, _ in items])
+    labels = [l for _, l in items]
+    assert ovo_auc_metric(scores, labels) == ovo_auc_metric_argsort(scores, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ovo_metric_equals_pair_counting_oracle_property(data):
+    k = data.draw(st.integers(2, 4))
+    width = data.draw(st.integers(2, 12))
+    labels = data.draw(st.lists(st.integers(IGNORE, k - 1), min_size=width, max_size=width))
+    assume(len(set(labels) - {IGNORE}) >= 2)
+    # four score levels over at most 48 entries: most comparisons are ties
+    values = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=width * k, max_size=width * k))
+    scores = [np.array(values, dtype=np.float64).reshape(1, width, k)]
+    labels = [np.array([labels], dtype=np.int32)]
+    assert ovo_auc_metric(scores, labels) == auc_metric_ref(scores, labels)
+
+
 def test_ovo_metric_requires_two_classes():
     with pytest.raises(ValidationError):
         ovo_auc_metric([np.ones((1, 2, 3))], [np.zeros((1, 2), dtype=np.int32)])
@@ -69,6 +130,12 @@ def test_ovo_metric_requires_two_classes():
 def test_argmax_ties_take_smaller_class():
     scores = [np.array([[[0.4, 0.4, 0.2], [0.1, 0.45, 0.45]]])]
     assert argmax_labels(scores)[0].tolist() == [[0, 1]]
+
+
+def test_argmax_rejects_non_finite_plain_scores():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):  # NaN used to come back as class 0
+            argmax_labels([[[bad, 1.0]]])
 
 
 # ------------------------------------------------------------------------ IoU
@@ -115,6 +182,14 @@ def test_iou_plain_labels_must_be_class_ids_or_ignore():
     with pytest.raises(ValidationError):
         iou_report([np.array([[0, 1]])], [np.array([[-2, 1]])])
     assert iou_report([np.array([[0, 1]])], [np.array([[IGNORE, 1]])]).mean_iou == 1.0
+
+
+def test_iou_partition_must_name_classes_below_k():
+    # plain labels infer K = 2 from the largest label; class 2 used to raise IndexError
+    with pytest.raises(ValidationError):
+        iou_report([[[0, 1]]], [[[0, 1]]], Partition((0,), (1,), (2,)))
+    with pytest.raises(ValidationError):
+        iou_report([[[0, 1]]], [[[0, 1]]], Partition((0,), (-1,), (1,)))
 
 
 def test_iou_shape_mismatch_errors():
