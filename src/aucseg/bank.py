@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integers
 from .grids import Batch, ClassStats, FeatureGrid, LabelGrid, class_stats
 
 STRATEGIES = ("random", "fifo", "lifo", "pu")
@@ -32,6 +32,7 @@ class BankConfig:
     tail_fraction: float = 0.5
 
     def __post_init__(self):
+        require_integers(self, "memory_size")
         if self.memory_size < 1:
             raise ValidationError("memory_size must be >= 1, got %d" % self.memory_size)
         if not (0.0 < self.sample_ratio <= 1.0):

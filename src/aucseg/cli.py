@@ -54,14 +54,12 @@ def _emit_csv(path, header, rows):
 
 
 def cmd_gen_data(args) -> int:
-    presence = [1.0] * args.classes
-    for c in range(1, args.classes):
-        presence[c] = args.presence
-    if args.tail_count > 0:
-        if args.tail_count >= args.classes:
-            raise ValidationError("tail_count must leave at least one non-tail class")
-        for c in range(args.classes - args.tail_count, args.classes):
-            presence[c] = args.tail_presence
+    if not 0 <= args.tail_count < args.classes:
+        raise ValidationError("tail_count must be >= 0 and leave at least one non-tail class, got %d"
+                              % args.tail_count)
+    # class 0 is the canvas, always present; the last tail_count classes are the tail
+    head = args.classes - args.tail_count
+    presence = (1.0,) + (args.presence,) * (head - 1) + (args.tail_presence,) * args.tail_count
     cfg = GenConfig(
         num_classes=args.classes,
         height=args.size[0],
@@ -69,7 +67,7 @@ def cmd_gen_data(args) -> int:
         channels=args.channels,
         images=args.images,
         zipf_s=args.zipf,
-        presence=tuple(presence),
+        presence=presence,
         shapes_per_class=args.shapes_per_class,
         feature_noise_sigma=args.noise,
         seed=args.seed,

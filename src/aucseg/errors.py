@@ -1,8 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the configs' integer check.
 
 Every user-facing failure is one of these, so the CLI can map them to
 stable exit codes (validation -> 3, numerical -> 4).
 """
+from numbers import Integral
 
 
 class ValidationError(ValueError):
@@ -19,3 +20,11 @@ class FormatError(ValidationError):
     def __init__(self, offset: int, message: str):
         self.offset = offset
         super().__init__("byte %d: %s" % (offset, message))
+
+
+def require_integers(config, *names):
+    """Raise ValidationError unless each named field of config is an integer (numpy's included)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, Integral):
+            raise ValidationError("%s must be an integer, got %r" % (name, value))

@@ -257,10 +257,13 @@ def _auc_loss(mode, scores, labels, kind, pasted, pair_norm):
     # class sizes: the sizes summed over ("union") or the pre-paste ones
     size = count[:k]
     if pasted is not None:
-        flat = np.concatenate([np.asarray(m, dtype=bool).reshape(-1) for m in pasted] or [np.zeros(0, bool)])
-        if flat.size != bins.size:
-            raise ValidationError("pasted masks cover %d pixels, batch has %d" % (flat.size, bins.size))
+        if len(pasted) != len(spans):
+            raise ValidationError("%d pasted masks for %d images" % (len(pasted), len(spans)))
+        for i, (m, (shape, _)) in enumerate(zip(pasted, spans)):
+            if np.shape(m) != shape[:2]:
+                raise ValidationError("pasted mask %d has shape %r, its image %r" % (i, np.shape(m), shape[:2]))
         if pair_norm == "original":
+            flat = np.concatenate([np.asarray(m, dtype=bool).reshape(-1) for m in pasted])
             size = np.bincount(bins[~flat], minlength=k + 1)[:k]
     size = size.astype(np.float64)
     if mode == "ovo":

@@ -11,8 +11,9 @@ Imbalance numbers: tau is the squared worst-case ratio between a
 class's largest single-image pixel count and its summed count over the
 dataset (a mean-normalized variant multiplies by the image count);
 imbalance_ratio averages head/tail pixel-count ratios over all
-(head, non-head) class pairs. Both are computed in exact integer
-arithmetic and converted to float only at the end.
+(head, non-head) class pairs, as the head total times the sum of the
+non-head reciprocals. Both close over the per-class totals in exact
+rational arithmetic and convert to float only at the end.
 """
 from __future__ import annotations
 
@@ -187,43 +188,33 @@ def compute_tau(stats: ClassStats, mean_normalized: bool = False) -> float:
     For each occurring class: the largest per-image pixel count over the
     class's summed count across the dataset. tau is the square of the
     worst ratio. With mean_normalized=True the denominator is the mean
-    per-image count instead of the sum (ratio scaled by the image
-    count), which can exceed 1 by a wide margin on skewed data.
+    per-image count instead of the sum; every ratio then scales by the
+    same image count, so the worst ratio is taken once and scaled. That
+    variant can exceed 1 by a wide margin on skewed data.
     """
-    counts = stats.per_image_counts
-    totals = stats.count
-    occurring = [c for c in range(stats.num_classes) if totals[c] > 0]
-    if not occurring:
+    peaks = stats.per_image_counts.max(axis=0).tolist()
+    ratios = [Fraction(peak, total) for peak, total in zip(peaks, stats.count.tolist()) if total > 0]
+    if not ratios:
         raise ValidationError("empty dataset: no class has pixels")
-    best = Fraction(0)
-    n_images = stats.num_images
-    for c in occurring:
-        num = int(counts[:, c].max())
-        den = int(totals[c])
-        if mean_normalized:
-            ratio = Fraction(num * n_images, den)
-        else:
-            ratio = Fraction(num, den)
-        if ratio > best:
-            best = ratio
-    return float(best * best)
+    worst = max(ratios) * (stats.num_images if mean_normalized else 1)
+    return float(worst * worst)
 
 
 def imbalance_ratio(stats: ClassStats, head_classes) -> float:
-    """Mean pairwise pixel-count ratio between head and non-head classes."""
-    counts = stats.count
-    universe = [c for c in range(stats.num_classes) if counts[c] > 0]
-    head = sorted(set(int(c) for c in head_classes))
+    """Mean pairwise pixel-count ratio between head and non-head classes.
+
+    The sum over (head a, non-head b) pairs of n_a / n_b factors into
+    (sum of n_a) * (sum of 1 / n_b), so no pair is visited.
+    """
+    counts = stats.count.tolist()
+    head = set(int(c) for c in head_classes)
     if not head:
         raise ValidationError("head class set must be nonempty")
-    for c in head:
-        if c not in universe:
+    for c in sorted(head):
+        if not (0 <= c < stats.num_classes and counts[c] > 0):
             raise ValidationError("head class %d has no pixels" % c)
-    rest = [c for c in universe if c not in head]
+    rest = [n for c, n in enumerate(counts) if n > 0 and c not in head]
     if not rest:
         raise ValidationError("no non-head classes with pixels")
-    acc = Fraction(0)
-    for a in head:
-        for b in rest:
-            acc += Fraction(int(counts[a]), int(counts[b]))
-    return float(acc / (len(head) * len(rest)))
+    head_total = sum(counts[c] for c in head)
+    return float(head_total * sum(Fraction(1, n) for n in rest) / (len(head) * len(rest)))

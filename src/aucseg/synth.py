@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, require_integers
 from .grids import MAX_CLASSES, FeatureGrid, LabelGrid
-from .rng import Splitmix64, mix64
+from .rng import GOLDEN, Splitmix64, mix64
 
 MAGIC = b"SEGD"
 VERSION = 1
@@ -43,7 +43,7 @@ _MEAN_SALT = 0x5EED5EED5EED5EED
 
 def class_mean(class_id: int, channel: int) -> float:
     """Fixed per-class feature mean in [-1, 1], independent of the seed."""
-    h = mix64((_MEAN_SALT + (class_id * 65536 + channel + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+    h = mix64((_MEAN_SALT + (class_id * 65536 + channel + 1) * GOLDEN) & 0xFFFFFFFFFFFFFFFF)
     return 2.0 * ((h >> 11) / float(1 << 53)) - 1.0
 
 
@@ -68,6 +68,8 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "num_classes", "height", "width", "channels", "images",
+                         "shapes_per_class", "seed")
         if not (2 <= self.num_classes <= MAX_CLASSES):
             raise ValidationError("num_classes must be in [2, %d], got %d" % (MAX_CLASSES, self.num_classes))
         if self.height < 1 or self.width < 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bank import BankConfig, TailMemoryBank, missing_tail_classes, select_tail_classes
-from .errors import FormatError, NumericalError, ValidationError
+from .errors import FormatError, NumericalError, ValidationError, require_integers
 from .grids import Batch, FeatureGrid, ScoreGrid, class_stats
 from .losses import SURROGATES, ce_loss, combined_loss, softmax, softmax_backward
 from .metrics import argmax_labels, auto_partition, iou_report, ovo_auc_metric
@@ -123,6 +123,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "batch_size", "max_iter", "warmup_iters", "eval_every",
+                         "head_count", "middle_count", "seed")
         if self.surrogate not in SURROGATES:
             raise ValidationError("unknown surrogate %r" % (self.surrogate,))
         if self.mode not in ("ovo", "ova"):

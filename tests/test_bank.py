@@ -303,3 +303,10 @@ def test_bank_config_validation():
         BankConfig(strategy="mru")
     with pytest.raises(ValidationError):
         BankConfig(tail_fraction=1.0)
+
+
+def test_bank_config_memory_size_must_be_an_integer():
+    # 2.5 would keep 3 patches per class
+    with pytest.raises(ValidationError):
+        BankConfig(memory_size=2.5, strategy="fifo")
+    assert BankConfig(memory_size=np.int32(3)).memory_size == 3

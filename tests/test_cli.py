@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from aucseg import BankConfig, TrainConfig, read_segd, save_model
+from aucseg import BankConfig, GenConfig, TrainConfig, generate, read_segd, save_model, write_segd
 from aucseg.cli import build_parser, main
 from aucseg.train import PixelModel
 
@@ -68,6 +68,24 @@ def test_gen_data_is_deterministic(tmp_path, capsys):
     run(capsys, *gen_args(p1))
     run(capsys, *gen_args(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("tail_count", [-2, 5, 6])
+def test_gen_data_rejects_tail_count_outside_range(tmp_path, capsys, tail_count):
+    # a negative count must not silently mean "no tail"
+    path = tmp_path / "d.segd"
+    code, out, err = run(capsys, *gen_args(path, tail_count=tail_count))
+    assert code == 3 and "tail_count" in err
+    assert not path.exists()
+
+
+def test_gen_data_presence_marks_the_last_classes_as_tail(tmp_path, capsys):
+    path = tmp_path / "d.segd"
+    run(capsys, *gen_args(path, presence=0.8, tail_count=2, tail_presence=0.2))
+    cfg = GenConfig(num_classes=5, height=16, width=16, channels=3, images=20, zipf_s=1.0,
+                    presence=(1.0, 0.8, 0.8, 0.2, 0.2), feature_noise_sigma=0.1, seed=4)
+    write_segd(tmp_path / "expected.segd", generate(cfg)[0])
+    assert path.read_bytes() == (tmp_path / "expected.segd").read_bytes()
 
 
 def test_train_then_eval_round_trip(tmp_path, capsys):

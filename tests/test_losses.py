@@ -369,6 +369,25 @@ def test_original_norm_skips_fully_pasted_classes():
     assert not rel_close(union.loss, original.loss, 1e-9)
 
 
+@pytest.mark.parametrize("pair_norm", ["union", "original"])
+@pytest.mark.parametrize("fn", [ovo_auc_loss, ova_auc_loss], ids=lambda fn: fn.__name__)
+def test_pasted_masks_must_match_each_image(fn, pair_norm):
+    # every bad list below covers as many pixels as the batch has, so a
+    # check of the total alone accepts it and marks the wrong pixels
+    rng = RNG(13)
+    scores = [softmax(rng.standard_normal((4, 6, 3))), softmax(rng.standard_normal((2, 2, 3)))]
+    labels = [rng.integers(0, 3, size=(4, 6)).astype(np.int32), np.array([[0, 1], [2, 0]], dtype=np.int32)]
+    good = [rng.random((4, 6)) < 0.3, np.zeros((2, 2), dtype=bool)]
+    fn(scores, labels, pasted=good, pair_norm=pair_norm)
+    for bad in ([good[0].T, good[1]],                     # a (6, 4) mask for a (4, 6) image
+                [good[1], good[0]],                       # masks in the wrong order
+                [good[0].reshape(2, 12), good[1]],
+                [np.concatenate([good[0].ravel(), good[1].ravel()]).reshape(4, 7)],  # one mask for two images
+                good + [np.zeros((0, 0), dtype=bool)]):  # one mask too many
+        with pytest.raises(ValidationError):
+            fn(scores, labels, pasted=bad, pair_norm=pair_norm)
+
+
 # -------------------------------------------------------------------- ce, softmax
 
 def test_ce_hand_example_and_clamp():

@@ -267,3 +267,7 @@ def test_imbalance_ratio_validation():
     solo = stats_from_counts([[10, 0, 0]])
     with pytest.raises(ValidationError):
         imbalance_ratio(solo, [0])  # nothing left outside the head
+    # head ids outside [0, K): -1 must not read the last class's count
+    for head in ([-1], [3], [0, -3], [0, 7]):
+        with pytest.raises(ValidationError):
+            imbalance_ratio(stats_from_counts([[10, 3, 5]]), head)

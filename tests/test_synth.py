@@ -121,6 +121,16 @@ def test_gen_config_validation():
         small_config(zipf_s=-1.0)
 
 
+@pytest.mark.parametrize("name", ["num_classes", "height", "width", "channels", "images",
+                                  "shapes_per_class", "seed"])
+def test_gen_config_integer_fields_reject_non_integers(name):
+    # images=2.5 would pass here and fail inside generate; seed=1.5 would
+    # generate the seed-1 dataset
+    with pytest.raises(ValidationError):
+        small_config(**{name: 2.5})
+    assert getattr(small_config(**{name: np.int64(3)}), name) == 3
+
+
 # ------------------------------------------------------------------ splitmix64
 
 def test_splitmix64_known_answers():

@@ -258,3 +258,14 @@ def test_train_config_validation():
         for name in ("lam", "base_lr", "lr_floor"):
             with pytest.raises(ValidationError):
                 TrainConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("name", ["batch_size", "max_iter", "warmup_iters", "eval_every",
+                                  "head_count", "middle_count", "seed"])
+def test_train_config_integer_fields_reject_non_integers(name):
+    # eval_every=2.5 with max_iter=10 would evaluate at steps 5 and 10
+    with pytest.raises(ValidationError):
+        TrainConfig(**{name: 2.5})
+    with pytest.raises(ValidationError):
+        TrainConfig(**{name: 3.0})
+    assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
