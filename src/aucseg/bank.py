@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_integers
+from .errors import ValidationError, require_integer, require_integers
 from .grids import Batch, ClassStats, FeatureGrid, LabelGrid, class_stats
 
 STRATEGIES = ("random", "fifo", "lifo", "pu")
@@ -119,7 +119,7 @@ def missing_tail_classes(label_grids, tail_classes):
     Reads the grids' class counts; a tail id outside [0, K) is an error.
     """
     count = class_stats(label_grids).count
-    tail = sorted(set(int(c) for c in tail_classes))
+    tail = sorted(set(require_integer(c, "tail class id") for c in tail_classes))
     if tail and (tail[0] < 0 or tail[-1] >= count.size):
         raise ValidationError("tail class ids must be in [0, %d), got %r" % (count.size, tuple(tail)))
     return tuple(c for c in tail if count[c] == 0)
@@ -150,7 +150,7 @@ class TailMemoryBank:
     """Per-tail-class patch stores with a fixed capacity and eviction policy."""
 
     def __init__(self, config: BankConfig, tail_classes, seed: int = 0):
-        tail = tuple(sorted(set(int(c) for c in tail_classes)))
+        tail = tuple(sorted(set(require_integer(c, "tail class id") for c in tail_classes)))
         if not tail:
             raise ValidationError("bank needs at least one tail class")
         if min(tail) < 0:

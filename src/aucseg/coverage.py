@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 from .grids import ClassStats
 
 _CHUNK_CELLS = 4_000_000
@@ -20,11 +20,11 @@ _CHUNK_CELLS = 4_000_000
 
 def union_bound(num_classes: int, p_min: float, batch_size: int) -> float:
     """K * (1 - p_min)^B, the all-classes-covered failure bound."""
-    if num_classes < 1:
+    if require_integer(num_classes, "num_classes") < 1:
         raise ValidationError("num_classes must be >= 1, got %d" % num_classes)
     if not (0.0 < p_min <= 1.0):
         raise ValidationError("p_min must be in (0, 1], got %r" % (p_min,))
-    if batch_size < 0:
+    if require_integer(batch_size, "batch_size") < 0:
         raise ValidationError("batch_size must be >= 0, got %d" % batch_size)
     return num_classes * (1.0 - p_min) ** batch_size
 
@@ -36,7 +36,7 @@ def required_batch_size(num_classes: int, p_min: float, delta: float) -> int:
     integer answer so the returned B is exactly the smallest one
     satisfying the bound, immune to floating point drift in the logs.
     """
-    if num_classes < 1:
+    if require_integer(num_classes, "num_classes") < 1:
         raise ValidationError("num_classes must be >= 1, got %d" % num_classes)
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must be in (0, 1), got %r" % (delta,))
@@ -84,9 +84,9 @@ def simulate_coverage(presence, batch_size: int, trials: int, seed: int = 0) -> 
         raise ValidationError("presence vector must be nonempty")
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails here too
         raise ValidationError("presence probabilities must lie in [0, 1]")
-    if batch_size < 1:
+    if require_integer(batch_size, "batch_size") < 1:
         raise ValidationError("batch_size must be >= 1, got %d" % batch_size)
-    if trials < 1:
+    if require_integer(trials, "trials") < 1:
         raise ValidationError("trials must be >= 1, got %d" % trials)
     absent = (1.0 - p) ** batch_size  # P(class c misses all B images)
     rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the configs' integer check.
+"""Exception types shared across the package, and its one integer check.
 
 Every user-facing failure is one of these, so the CLI can map them to
 stable exit codes (validation -> 3, numerical -> 4).
@@ -22,9 +22,14 @@ class FormatError(ValidationError):
         super().__init__("byte %d: %s" % (offset, message))
 
 
+def require_integer(value, name):
+    """value as a Python int; ValidationError unless it is an integer (numpy's included)."""
+    if not isinstance(value, Integral):
+        raise ValidationError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 def require_integers(config, *names):
-    """Raise ValidationError unless each named field of config is an integer (numpy's included)."""
+    """Raise ValidationError unless each named field of config is an integer."""
     for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, Integral):
-            raise ValidationError("%s must be an integer, got %r" % (name, value))
+        require_integer(getattr(config, name), name)

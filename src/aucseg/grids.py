@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 
 IGNORE = -1
 
@@ -68,7 +68,7 @@ class LabelGrid:
             raise ValidationError("labels must be (H, W) with positive dims, got %r" % (lab.shape,))
         if not np.issubdtype(lab.dtype, np.integer):
             raise ValidationError("labels must be integers")
-        k = int(self.num_classes)
+        k = require_integer(self.num_classes, "num_classes")
         if not (2 <= k <= MAX_CLASSES):
             raise ValidationError("num_classes must be in [2, %d], got %d" % (MAX_CLASSES, k))
         lab = lab.astype(np.int32, copy=True)

@@ -247,7 +247,19 @@ def _scatter(grad_flat, spans):
     return tuple(grad_flat[span].reshape(shape) for shape, span in spans)
 
 
-def _auc_loss(mode, scores, labels, kind, pasted, pair_norm):
+def _ce_into(grad, pooled_s, bins, k, lam):
+    """Mean cross entropy over the labeled pooled pixels; adds lam times its gradient into grad."""
+    rows = np.flatnonzero(bins < k)
+    if rows.size == 0:
+        raise ValidationError("no labeled pixels: cross entropy undefined")
+    true = bins[rows]
+    s_true = np.maximum(pooled_s[rows, true], CE_CLAMP)
+    grad[rows, true] += lam * (-1.0 / (rows.size * s_true))
+    return float(-np.mean(np.log(s_true)))
+
+
+def _auc_loss(mode, scores, labels, kind, pasted, pair_norm, lam=None):
+    """The pooled ranking loss; given lam, plus lam times cross entropy in the same gradient buffer."""
     if pair_norm not in ("union", "original"):
         raise ValidationError("pair_norm must be 'union' or 'original', got %r" % (pair_norm,))
     pooled_s, bins, k, count, spans = _pool(scores, labels)
@@ -266,14 +278,14 @@ def _auc_loss(mode, scores, labels, kind, pasted, pair_norm):
             flat = np.concatenate([np.asarray(m, dtype=bool).reshape(-1) for m in pasted])
             size = np.bincount(bins[~flat], minlength=k + 1)[:k]
     size = size.astype(np.float64)
-    if mode == "ovo":
-        denom = np.outer(size, size)
-    else:
-        denom = np.repeat((size * (size.sum() - size))[:, None], k, axis=1)
+    denom = np.outer(size, size) if mode == "ovo" else (size * (size.sum() - size))[:, None]
     w = np.divide(1.0, denom, out=np.zeros((k, k)), where=denom > 0)
     np.fill_diagonal(w, 0.0)
     loss, grad = class_pair_loss(pooled_s, bins, count, w, kind)
-    return LossReport(loss=loss, gradients=_scatter(grad, spans))
+    if lam is None:
+        return LossReport(loss=loss, gradients=_scatter(grad, spans))
+    ce = _ce_into(grad, pooled_s, bins, k, lam)
+    return LossReport(loss=loss + lam * ce, gradients=_scatter(grad, spans), parts={"auc": loss, "ce": ce})
 
 
 def ovo_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") -> LossReport:
@@ -302,33 +314,19 @@ def ova_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") 
 def ce_loss(scores, labels) -> LossReport:
     """Mean cross entropy over labeled pixels, probabilities clamped at 1e-12."""
     pooled_s, bins, k, _, spans = _pool(scores, labels)
-    rows = np.flatnonzero(bins < k)
-    if rows.size == 0:
-        raise ValidationError("no labeled pixels: cross entropy undefined")
-    true = bins[rows]
-    s_true = np.maximum(pooled_s[rows, true], CE_CLAMP)
-    n = rows.size
-    loss = float(-np.mean(np.log(s_true)))
     grad_flat = np.zeros_like(pooled_s)
-    grad_flat[rows, true] = -1.0 / (n * s_true)
+    loss = _ce_into(grad_flat, pooled_s, bins, k, 1.0)
     return LossReport(loss=loss, gradients=_scatter(grad_flat, spans))
 
 
 def combined_loss(scores, labels, kind="square", mode="ovo", lam=0.25,
                   pasted=None, pair_norm="union") -> LossReport:
-    """Ranking loss plus lam times cross entropy, gradients combined."""
+    """Ranking loss plus lam times cross entropy over one pooling of the batch.
+
+    The per-image gradients are read-only views of one (n, K) buffer.
+    """
     if mode not in ("ovo", "ova"):
         raise ValidationError("mode must be 'ovo' or 'ova', got %r" % (mode,))
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValidationError("lam must be finite and >= 0, got %r" % (lam,))
-    auc_fn = ovo_auc_loss if mode == "ovo" else ova_auc_loss
-    auc = auc_fn(scores, labels, kind, pasted=pasted, pair_norm=pair_norm)
-    ce = ce_loss(scores, labels)
-    grads = tuple(ga + lam * gc for ga, gc in zip(auc.gradients, ce.gradients))
-    for g in grads:
-        g.setflags(write=False)
-    return LossReport(
-        loss=auc.loss + lam * ce.loss,
-        gradients=grads,
-        parts={"auc": auc.loss, "ce": ce.loss},
-    )
+    return _auc_loss(mode, scores, labels, kind, pasted, pair_norm, lam)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 from .grids import IGNORE, ClassStats, LabelGrid, ScoreGrid, pool_batch
 
 
@@ -99,7 +99,7 @@ def make_partition(stats: ClassStats, head_count: int, middle_count: int) -> Par
     the first head_count are head, the next middle_count are middle, the
     rest are tail. The tail must end up nonempty.
     """
-    if head_count < 0 or middle_count < 0:
+    if require_integer(head_count, "head_count") < 0 or require_integer(middle_count, "middle_count") < 0:
         raise ValidationError("head_count and middle_count must be >= 0")
     counts = stats.count
     ranked = sorted((c for c in range(stats.num_classes) if counts[c] > 0),
@@ -118,7 +118,8 @@ def make_partition(stats: ClassStats, head_count: int, middle_count: int) -> Par
 def auto_partition(stats: ClassStats, head_count: int = 0, middle_count: int = 0) -> Partition:
     """make_partition where a count of 0 means a third of the occurring classes (at least 1)."""
     third = max(1, int(np.sum(stats.count > 0)) // 3)
-    return make_partition(stats, head_count or third, middle_count or third)
+    return make_partition(stats, require_integer(head_count, "head_count") or third,
+                          require_integer(middle_count, "middle_count") or third)
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def imbalance_ratio(stats: ClassStats, head_classes) -> float:
     (sum of n_a) * (sum of 1 / n_b), so no pair is visited.
     """
     counts = stats.count.tolist()
-    head = set(int(c) for c in head_classes)
+    head = set(require_integer(c, "head class id") for c in head_classes)
     if not head:
         raise ValidationError("head class set must be nonempty")
     for c in sorted(head):

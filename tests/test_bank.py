@@ -64,6 +64,17 @@ def test_missing_tail_classes_rejects_raw_arrays_and_bad_ids():
             missing_tail_classes([lab], (1, bad))
 
 
+def test_tail_class_ids_must_be_integers():
+    # truncated, 1.5 would read as class 1 and 0.7 as class 0
+    _, lab = make_item([[0, 2], [0, 0]], k=4)
+    with pytest.raises(ValidationError):
+        missing_tail_classes([lab], (1.5,))
+    with pytest.raises(ValidationError):
+        TailMemoryBank(BankConfig(memory_size=2), tail_classes=(0.7,))
+    assert missing_tail_classes([lab], (np.int64(1), 2)) == (1,)
+    assert TailMemoryBank(BankConfig(memory_size=2), tail_classes=(np.int32(3),)).tail_classes == (3,)
+
+
 # -------------------------------------------------------------------- storing
 
 def test_store_one_patch_per_image_class_with_tight_bbox():

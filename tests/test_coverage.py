@@ -100,6 +100,18 @@ def test_simulate_coverage_validation():
         simulate_coverage([np.nan, 0.5], 4, 1000)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: simulate_coverage([0.5, 0.5], 2, 10.5),  # not a bare TypeError
+    lambda: simulate_coverage([0.5, 0.5], 2.5, 10),
+    lambda: required_batch_size(12.5, 0.05, 0.01),   # not 140
+    lambda: union_bound(12, 0.1, 2.5),               # not 9.22
+    lambda: union_bound(12.5, 0.1, 2),
+], ids=["trials", "sim_batch_size", "required_classes", "bound_batch_size", "bound_classes"])
+def test_coverage_counts_must_be_integers(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_empirical_presence():
     stats = ClassStats(per_image_counts=np.array([[3, 0], [1, 2], [0, 5], [2, 2]]),
                        num_classes=2)

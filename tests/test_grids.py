@@ -23,6 +23,13 @@ def test_num_classes_bounds():
         LabelGrid(labels=np.zeros((2, 2), dtype=int), num_classes=65)
 
 
+def test_num_classes_must_be_an_integer():
+    # truncated, 3.7 would make a 3-class grid
+    with pytest.raises(ValidationError):
+        LabelGrid(labels=np.zeros((2, 2), dtype=int), num_classes=3.7)
+    assert LabelGrid(labels=np.zeros((2, 2), dtype=int), num_classes=np.int64(3)).num_classes == 3
+
+
 def test_grids_are_read_only():
     feat = FeatureGrid(values=np.zeros((2, 2, 3), dtype=np.float32))
     lab = LabelGrid(labels=np.zeros((2, 2), dtype=int), num_classes=2)

@@ -437,16 +437,38 @@ def test_softmax_backward_matches_finite_differences():
 
 
 def test_combined_loss_parts_and_linearity():
+    # exact: cross entropy's gradient entries are added into the ranking
+    # loss's gradient once, entry by entry, as auc + lam * ce is
     rng = RNG(19)
-    scores, labels = _instance(rng)
-    lam = 0.25
-    combo = combined_loss(scores, labels, kind="square", mode="ovo", lam=lam)
-    auc = ovo_auc_loss(scores, labels, "square")
-    ce = ce_loss(scores, labels)
-    assert rel_close(combo.loss, auc.loss + lam * ce.loss, 1e-12)
-    assert combo.parts == {"auc": auc.loss, "ce": ce.loss}
-    for g, ga, gc in zip(combo.gradients, auc.gradients, ce.gradients):
-        assert grad_close(g, ga + lam * gc, 1e-12)
-    for rep in (combo, auc, ce):
-        assert not any(g.flags.writeable for g in rep.gradients)
+    lam = 0.3
+    cases = _instances(rng, 2)  # softmax batches, then plain scores spanning more than 1
+    for (scores, labels), kind, mode, pair_norm in itertools.product(
+            cases, SURROGATES, ("ovo", "ova"), ("union", "original")):
+        auc_fn = ovo_auc_loss if mode == "ovo" else ova_auc_loss
+        for pasted in (None, [rng.random(lab.shape) < 0.3 for lab in labels]):
+            combo = combined_loss(scores, labels, kind=kind, mode=mode, lam=lam,
+                                  pasted=pasted, pair_norm=pair_norm)
+            auc = auc_fn(scores, labels, kind, pasted=pasted, pair_norm=pair_norm)
+            ce = ce_loss(scores, labels)
+            assert combo.loss == auc.loss + lam * ce.loss, (kind, mode, pair_norm)
+            assert combo.parts == {"auc": auc.loss, "ce": ce.loss}
+            for g, ga, gc in zip(combo.gradients, auc.gradients, ce.gradients):
+                assert np.array_equal(g, ga + lam * gc), (kind, mode, pair_norm)
+            for rep in (combo, auc, ce):
+                assert not any(g.flags.writeable for g in rep.gradients)
 
+
+@pytest.mark.parametrize("fn", [ovo_auc_loss, ova_auc_loss, ce_loss, combined_loss],
+                         ids=lambda fn: fn.__name__)
+def test_each_loss_pools_the_batch_once(fn, monkeypatch):
+    calls = []
+    real = losses.pool_batch
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(losses, "pool_batch", counting)
+    scores, labels = _instance(RNG(20))
+    fn(scores, labels)
+    assert len(calls) == 1

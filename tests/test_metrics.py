@@ -7,6 +7,7 @@ from aucseg import (IGNORE, ClassStats, GenConfig, Partition, ValidationError,
                     argmax_labels, compute_tau, forward, generate,
                     imbalance_ratio, init_model, iou_report, make_partition,
                     ovo_auc_metric, softmax)
+from aucseg.metrics import auto_partition
 
 from _oracles import (IOU_FIXTURES, auc_metric_ref, iou_ref,
                       ovo_auc_metric_argsort, rm_ref, tau_ref)
@@ -219,6 +220,14 @@ def test_make_partition_requires_nonempty_tail():
         make_partition(stats, 2, 1)
 
 
+@pytest.mark.parametrize("fn", [make_partition, auto_partition], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("counts", [(1.5, 0), (1, 1.0), (1, 0.5)])
+def test_partition_counts_must_be_integers(fn, counts):
+    # 1.5 must not reach the slicing as a bare TypeError, nor 1.0 or 0.5 pass
+    with pytest.raises(ValidationError):
+        fn(stats_from_counts([[40, 30, 20, 10, 5]]), *counts)
+
+
 # ------------------------------------------------------------------ imbalance
 
 def test_tau_hand_example():
@@ -271,3 +280,12 @@ def test_imbalance_ratio_validation():
     for head in ([-1], [3], [0, -3], [0, 7]):
         with pytest.raises(ValidationError):
             imbalance_ratio(stats_from_counts([[10, 3, 5]]), head)
+
+
+def test_imbalance_ratio_head_ids_must_be_integers():
+    # truncated, 0.7 would read as head 0 and give 55.0
+    stats = stats_from_counts([[100, 1, 10]])
+    assert imbalance_ratio(stats, [np.int64(0)]) == 55.0
+    for head in ([0.7], [0, 2.0]):
+        with pytest.raises(ValidationError):
+            imbalance_ratio(stats, head)
