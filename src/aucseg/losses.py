@@ -120,20 +120,64 @@ def pair_loss_naive(pos, neg, kind="square") -> PairLossResult:
     return PairLossResult(float(total * scale), grad_pos, grad_neg)
 
 
+# Up to this many classes, K passes over the columns of an (n, K) array
+# beat numpy's one-row-at-a-time last-axis sum; from about 28 on they lose
+# (timings in CHANGES.md).
+_COLUMN_SUM_MAX_K = 24
+
+
+def _class_sum(x):
+    """x.sum(axis=-1) of an (n, K) array, bit for bit.
+
+    numpy adds a last axis of at most 128 entries to an initial 0.0
+    pairwise: eight running sums over columns j, j + 8, j + 16, ..., the
+    tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last
+    K % 8 columns in turn. Up to _COLUMN_SUM_MAX_K classes the same order
+    runs over whole columns.
+    """
+    k = x.shape[1]
+    if k > _COLUMN_SUM_MAX_K:
+        return x.sum(axis=-1)
+    cols = x.T
+    stop = k - k % 8
+    total = np.zeros(len(x))
+    if stop:
+        r = cols[:8]
+        for i in range(8, stop, 8):
+            r = [a + b for a, b in zip(r, cols[i : i + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for c in cols[stop:]:
+        total += c
+    return total
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, stabilized by max subtraction.
+
+    The max is a running maximum over the class columns and the sum is
+    ``_class_sum``, so every bit equals the last-axis reductions' of a
+    C-contiguous array, whatever the input's layout.
+    """
+    z = np.asarray(logits, dtype=np.float64, order="C")
+    flat = z.reshape(-1, z.shape[-1])
+    top = flat[:, 0].copy()
+    for c in flat.T[1:]:
+        np.maximum(top, c, out=top)
+    e = flat - top[:, None]
+    np.exp(e, out=e)
+    e /= _class_sum(e)[:, None]
+    return e.reshape(z.shape)
 
 
 def softmax_backward(scores: np.ndarray, grad_scores: np.ndarray) -> np.ndarray:
     """Exact chain rule through softmax: grad wrt logits from grad wrt scores."""
-    s = np.asarray(scores, dtype=np.float64)
-    g = np.asarray(grad_scores, dtype=np.float64)
-    inner = np.sum(g * s, axis=-1, keepdims=True)
-    return s * (g - inner)
+    s = np.asarray(scores, dtype=np.float64, order="C")
+    g = np.asarray(grad_scores, dtype=np.float64, order="C")
+    out = g * s
+    inner = _class_sum(out.reshape(-1, out.shape[-1]))
+    np.subtract(g, inner.reshape(out.shape[:-1] + (1,)), out=out)
+    out *= s
+    return out
 
 
 def class_pair_loss(scores, bins, count, w, kind):

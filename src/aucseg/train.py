@@ -62,15 +62,19 @@ def init_model(channels: int, num_classes: int, seed: int = 0) -> PixelModel:
 def forward(model: PixelModel, feature_grids):
     """Score grids for a list of FeatureGrids."""
     out = []
-    for feat in feature_grids:
-        v = feat.values if isinstance(feat, FeatureGrid) else np.asarray(feat)
-        if v.shape[-1] != model.channels:
-            raise ValidationError("feature channels %d != model channels %d" % (v.shape[-1], model.channels))
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = v.astype(np.float64) @ model.weights + model.bias
-        if not np.all(np.isfinite(logits)):
-            raise NumericalError("non-finite logits: parameters or features overflow")
-        out.append(ScoreGrid(scores=softmax(logits)))
+    # one errstate for the call: non-finite logits raise below, and from
+    # finite logits softmax can only overflow in a difference from the
+    # row max, whose exp is 0 either way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for feat in feature_grids:
+            v = feat.values if isinstance(feat, FeatureGrid) else np.asarray(feat)
+            if v.shape[-1] != model.channels:
+                raise ValidationError("feature channels %d != model channels %d" % (v.shape[-1], model.channels))
+            logits = v.astype(np.float64) @ model.weights
+            logits += model.bias
+            if not np.all(np.isfinite(logits)):
+                raise NumericalError("non-finite logits: parameters or features overflow")
+            out.append(ScoreGrid(scores=softmax(logits)))
     return out
 
 

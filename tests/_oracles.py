@@ -145,6 +145,22 @@ def ce_ref(score_arrays, label_arrays, clamp=1e-12):
     return loss, grads
 
 
+def softmax_ref(logits):
+    """Softmax over the last axis with numpy's own last-axis max and sum."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward_ref(scores, grad_scores):
+    """Chain rule through softmax with numpy's own last-axis sum."""
+    s = np.asarray(scores, dtype=np.float64)
+    g = np.asarray(grad_scores, dtype=np.float64)
+    inner = np.sum(g * s, axis=-1, keepdims=True)
+    return s * (g - inner)
+
+
 def auc_metric_ref(score_arrays, label_arrays):
     """Mean over realized ordered class pairs of win + half-tie rates."""
     scores = [np.asarray(s, dtype=np.float64) for s in score_arrays]

@@ -23,6 +23,13 @@ def _attributes():
     return {(id(owner), name): value for owner in owners for name, value in vars(owner).items()}
 
 
+def _items():
+    items, _ = generate(GenConfig(num_classes=4, height=10, width=10, channels=3, images=30,
+                                  zipf_s=1.2, presence=(1.0, 1.0, 1.0, 0.15), shapes_per_class=1,
+                                  feature_noise_sigma=0.2, seed=21))
+    return items
+
+
 def test_tracer_installs_and_restores_every_wrapped_name():
     before = _attributes()
     patches = tracing.Patches()
@@ -39,9 +46,7 @@ def test_tracer_installs_and_restores_every_wrapped_name():
 def test_training_calls_combined_loss_as_the_benchmark_hooks_read_it(monkeypatch):
     # the hooks read kw["kind"], kw["mode"], kw.get("pasted"), rep.parts["auc"],
     # s.scores, l.labels and len(labels) of every call
-    items, _ = generate(GenConfig(num_classes=4, height=10, width=10, channels=3, images=30,
-                                  zipf_s=1.2, presence=(1.0, 1.0, 1.0, 0.15), shapes_per_class=1,
-                                  feature_noise_sigma=0.2, seed=21))
+    items = _items()
     bank = BankConfig(memory_size=4, sample_ratio=1.0, resize_ratio=0.5, tail_fraction=0.3)
     cfg = TrainConfig(surrogate="hinge", mode="ova", max_iter=20, eval_every=20, batch_size=4,
                       warmup_iters=2, head_count=1, middle_count=1, bank=bank, seed=0)
@@ -65,3 +70,30 @@ def test_training_calls_combined_loss_as_the_benchmark_hooks_read_it(monkeypatch
     res = train_mod.train(items, cfg)
     assert len(pasted_steps) == len(res.steps) == cfg.max_iter
     assert any(pasted_steps)
+
+
+def test_training_calls_forward_and_softmax_backward_through_module_attributes(monkeypatch):
+    # the tracer reads train.forward_ms_per_step and train.softmax_backward_ms_per_step
+    # from these two names; inlining either would read 0 without failing a run
+    items = _items()
+    cfg = TrainConfig(max_iter=12, eval_every=5, batch_size=4, warmup_iters=2,
+                      head_count=1, middle_count=1, seed=0)
+    train_mod = tracing.modules()["train"]
+    calls = {"forward": [], "softmax_backward": 0}
+    real_forward, real_backward = train_mod.forward, train_mod.softmax_backward
+
+    def forward(model, feats):
+        calls["forward"].append(len(feats))
+        return real_forward(model, feats)
+
+    def softmax_backward(scores, grad):
+        calls["softmax_backward"] += 1
+        return real_backward(scores, grad)
+
+    monkeypatch.setattr(train_mod, "forward", forward)
+    monkeypatch.setattr(train_mod, "softmax_backward", softmax_backward)
+    res = train_mod.train(items, cfg)
+    n_eval = len(res.eval_indices)
+    assert len(res.evals) == 3  # steps 5, 10 and the last
+    assert sorted(calls["forward"]) == sorted([cfg.batch_size] * cfg.max_iter + [n_eval] * 3)
+    assert calls["softmax_backward"] == cfg.batch_size * cfg.max_iter

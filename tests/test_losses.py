@@ -11,7 +11,8 @@ from aucseg import (IGNORE, LabelGrid, NumericalError, ScoreGrid,
                     pair_loss_naive, softmax, softmax_backward)
 from aucseg.losses import SURROGATES
 
-from _oracles import ce_ref, fd_gradient, ova_ref, ovo_ref, pair_loss_ref
+from _oracles import (ce_ref, fd_gradient, ova_ref, ovo_ref, pair_loss_ref,
+                      softmax_backward_ref, softmax_ref)
 
 RNG = np.random.default_rng
 
@@ -434,6 +435,74 @@ def test_softmax_backward_matches_finite_differences():
         analytic = softmax_backward(softmax(logits), r)
         fd = fd_gradient(lambda z: float(np.sum(r * softmax(z))), logits.copy())
         assert grad_close(analytic, fd, 1e-6)
+
+
+ORACLE_KS = (1, 2, 3, 7, 8, 9, 12, 16, 17, 19, 32, 33, 64)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _softmax_samples(rng, k):
+    """Logits for the oracle tests: 1-D, 2-D and 3-D, a 1x1 image, no pixels,
+    scales from 0.1 to 300, tied maxima, and +-700 rows that saturate."""
+    out = [rng.standard_normal(k) * 3.0, rng.standard_normal((1, 1, k)),
+           np.zeros((0, k)), np.zeros((0, 3, k))]
+    out += [rng.standard_normal((5, 7, k)) * scale for scale in (0.1, 1.0, 8.0, 300.0)]
+    out.append(rng.standard_normal((40, k)) * 10.0 ** rng.uniform(-1, 2.5, (40, 1)))
+    tied = rng.integers(-2, 3, (6, 6, k)).astype(np.float64)  # small integers: many equal maxima
+    tied[0] = 1.5  # every channel at the max
+    out.append(tied)
+    extreme = rng.choice([-700.0, 0.0, 700.0], size=(9, k))
+    extreme[:, 0] = 700.0  # every exp(z - max) of a -700 entry underflows to 0
+    extreme[0, 1:] = -700.0  # this row saturates to exactly (1, 0, ..., 0)
+    out.append(extreme)
+    return out
+
+
+@pytest.mark.parametrize("k", ORACLE_KS)
+def test_softmax_is_bit_identical_to_last_axis_reductions(k):
+    for z in _softmax_samples(RNG(100 + k), k):
+        assert same_bits(softmax(z), softmax_ref(z)), (k, z.shape)
+    # numpy's own sum order depends on the layout; the result here does not
+    z = RNG(k).standard_normal((9, 2 * k))
+    for view in (np.asfortranarray(z[:, :k]), z[:, ::2]):
+        assert same_bits(softmax(view), softmax_ref(np.ascontiguousarray(view)))
+        g = np.asfortranarray(z[:, k:])
+        assert same_bits(softmax_backward(view, g),
+                         softmax_backward_ref(np.ascontiguousarray(view), np.ascontiguousarray(g)))
+    saturated = softmax(np.array([700.0] + [-700.0] * (k - 1)))
+    assert saturated[0] == 1.0 and np.all(saturated[1:] == 0.0)
+
+
+@pytest.mark.parametrize("k", ORACLE_KS)
+def test_softmax_backward_is_bit_identical_to_last_axis_reductions(k):
+    rng = RNG(200 + k)
+    for z in _softmax_samples(rng, k):
+        s = softmax_ref(z)
+        for g in (rng.standard_normal(z.shape) * 1e-3,
+                  np.where(rng.random(z.shape) < 0.7, -0.0, rng.standard_normal(z.shape)),
+                  np.full(z.shape, -0.0)):  # every product -0.0: the sum is 0.0
+            assert same_bits(softmax_backward(s, g), softmax_backward_ref(s, g)), (k, z.shape)
+
+
+def test_class_sum_keeps_numpys_order_and_the_tests_would_see_another(monkeypatch):
+    rng = RNG(7)
+    for k in range(1, 65):
+        x = rng.standard_normal((300, k)) * 10.0 ** rng.uniform(-6, 6, (300, k))
+        assert same_bits(losses._class_sum(x), x.sum(axis=-1)), k
+    # teeth: the columns added in plain sequence change bits of the samples above
+
+    def sequential(x):
+        total = x[:, 0] + 0.0
+        for c in x.T[1:]:
+            total += c
+        return total
+
+    monkeypatch.setattr(losses, "_class_sum", sequential)
+    assert any(not same_bits(softmax(z), softmax_ref(z))
+               for k in ORACLE_KS if k >= 9 for z in _softmax_samples(RNG(100 + k), k))
 
 
 def test_combined_loss_parts_and_linearity():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 
 import numpy as np
@@ -217,6 +218,14 @@ def test_overflowing_logits_raise_numerical_error():
         forward(model, [feats])
 
 
+def test_nan_weight_raises_numerical_error():
+    weights = np.zeros((2, 3))
+    weights[1, 2] = np.nan
+    feats = np.ones((2, 2, 2), dtype=np.float32)
+    with pytest.raises(NumericalError):
+        forward(PixelModel(weights=weights, bias=np.zeros(3)), [feats])
+
+
 def test_checkpoint_with_overflowed_weights_fails_numerically(tmp_path):
     # a diverged checkpoint round-trips to inf through the float32 cast and
     # must surface as a numerical failure at inference, not garbage scores
@@ -269,3 +278,35 @@ def test_train_config_integer_fields_reject_non_integers(name):
     with pytest.raises(ValidationError):
         TrainConfig(**{name: 3.0})
     assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
+
+
+KNOWN_ANSWER_BANK = BankConfig(memory_size=4, sample_ratio=1.0, resize_ratio=0.5, tail_fraction=0.34)
+
+
+@pytest.mark.parametrize("objective, bank, digests", [
+    ("auc_ce", KNOWN_ANSWER_BANK,
+     ("e90d2ff3eab3afffef6f82ecfc8039da17c1651e9da36469f898d152fb2eeaad",
+      "c220f284b573506145b15efdb2225d2d6b85372eb8bb2937e5f4875ab27a6f6a",
+      "7c0218afc6711d4bad9aac4425c8d484833f2e875535c9b4c00731dd5b4c4c1c")),
+    ("ce", None,
+     ("2cf9b7fca77c7b13f3b9bb24e7d675cf0e466f9dd71ddf8f3bf4193d5aae9193",
+      "5e6872aa4a5218258e7d4c33bf7bfb1f782d4c6b7be0550698ae316e5879b512",
+      "5bc66aa1b5b9447fd2edeb637683959927c8463633e28a58ebfcf18fac9110c9")),
+], ids=["square-ovo-auc_ce-bank", "ce"])
+def test_training_files_known_answer(tmp_path, objective, bank, digests):
+    # digests taken with numpy 2.4.6 on x86-64 (generation, BLAS and exp may
+    # round differently elsewhere): metrics.csv, model.segm, and the float64
+    # parameters and step losses, which keep the last bits that the float32
+    # checkpoint and the 10-digit csv round away
+    items, _ = generate(GenConfig(num_classes=12, height=12, width=12, channels=4, images=30,
+                                  zipf_s=1.2, presence=(1.0,) * 8 + (0.3,) * 4,
+                                  feature_noise_sigma=0.3, seed=19))
+    cfg = TrainConfig(surrogate="square", mode="ovo", objective=objective, max_iter=30,
+                      eval_every=10, batch_size=4, warmup_iters=3, head_count=4,
+                      middle_count=4, bank=bank, seed=5)
+    res = train_and_save(items, cfg, tmp_path)
+    assert (sum(s.pasted for s in res.steps) > 0) == (bank is not None)
+    blobs = [(tmp_path / name).read_bytes() for name in ("metrics.csv", "model.segm")]
+    blobs.append(res.model.weights.tobytes() + res.model.bias.tobytes()
+                 + np.array([s.loss for s in res.steps]).tobytes())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == digests
