@@ -20,7 +20,7 @@ import numpy as np
 from .bank import STRATEGIES, BankConfig
 from .coverage import required_batch_size, simulate_coverage, union_bound
 from .errors import NumericalError, ValidationError
-from .grids import class_stats
+from .grids import MAX_CLASSES, class_stats
 from .losses import SURROGATES, ovo_auc_loss, pair_loss_naive, softmax
 from .metrics import auto_partition, compute_tau, imbalance_ratio
 from .synth import GenConfig, generate, read_segd, write_segd
@@ -134,8 +134,8 @@ def _ovo_loss_naive(scores, labels, kind):
 
 
 def cmd_bench_loss(args) -> int:
-    if args.pixels < 2 * args.classes:
-        raise ValidationError("need at least 2 pixels per class to benchmark")
+    if not 2 <= args.classes <= MAX_CLASSES or args.pixels < 2 * args.classes or args.repeat < 1:
+        raise ValidationError("need 2 to %d classes, 2 pixels per class and 1 repeat" % MAX_CLASSES)
     rng = np.random.default_rng(args.seed)
     labels = np.concatenate([np.arange(args.classes),
                              rng.integers(args.classes, size=args.pixels - args.classes)])

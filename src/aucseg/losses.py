@@ -17,9 +17,9 @@ two-class case. Each surrogate has one exact decomposition:
       a pair is active iff a < b + 1. When every channel's scores span
       less than 1, as softmax outputs in [0, 1] do short of saturating
       to exactly 1.0, every pair is active and the hinge is the linear
-      surrogate 1 - a + b, which closes over the square branch's first
-      moments: on softmax scores a hinge result is a linear-surrogate
-      result. Otherwise, per channel c, sort the class-c scores once;
+      surrogate 1 - a + b, affine in the scores: a per-class table is
+      its gradient, and the table's constant plus <gradient, scores>
+      its loss. Otherwise, per channel c, sort the class-c scores once;
       one searchsorted gives each pixel its count of active positives,
       prefix sums their score sum, and a weighted bincount of the
       counts the positives' gradients. At the kink the subgradient 0 is
@@ -197,25 +197,24 @@ def class_pair_loss(scores, bins, count, w, kind):
     n, k = scores.shape
     wt = np.zeros((k + 1, k))  # wt[j, c]: weight of a class-j pixel as a negative on channel c
     wt[:k] = w.T
-    # fl(x + 1) is monotone, so a channel whose range is under 1 has
-    # a < fl(b + 1) for every pair: exactly the sort path's active set.
-    # The whole array's range bounds every channel's at a tenth of the cost.
-    if kind == "hinge" and not (scores.max() < scores.min() + 1.0
-                                or np.all(scores.max(axis=0) < scores.min(axis=0) + 1.0)):
-        return _hinge_pairs(scores, bins, wt, count)
+    nk, alpha = count[:k], count @ wt
+    if kind == "hinge":
+        # fl(x + 1) is monotone: a channel of range under 1 has a < fl(b + 1) for every pair,
+        # the sort path's active set. The array's range bounds all channels' at a tenth of the cost.
+        if not (scores.max() < scores.min() + 1.0
+                or np.all(scores.max(axis=0) < scores.min(axis=0) + 1.0)):
+            return _hinge_pairs(scores, bins, wt, count)
+        # every pair active: ell = 1 - a + b is affine, its gradient a per-class table
+        offset = wt * nk
+        offset[:k][np.diag_indices(k)] = -alpha
+        grad = offset[bins]
+        return float(alpha @ nk + np.vdot(grad, scores)), grad
     onehot = np.zeros((n, k + 1))
     onehot[np.arange(n), bins] = 1.0
     if kind != "exp":
         m1 = onehot.T @ scores
-        nk, d1 = count[:k], np.diag(m1)
-        alpha = count @ wt
+        d1 = np.diag(m1)
         beta = (wt * m1).sum(axis=0)
-    if kind == "hinge":
-        # every pair active: ell = 1 - a + b closes over first moments alone
-        loss = np.sum(alpha * (nk - d1) + nk * beta)
-        offset = wt * nk
-        offset[:k][np.diag_indices(k)] = -alpha
-        return float(loss), offset[bins]
     if kind == "square":
         # ell = (1 - a + b)^2 closes over per-class first and second moments
         m2 = onehot.T @ (scores * scores)
@@ -291,14 +290,15 @@ def _scatter(grad_flat, spans):
     return tuple(grad_flat[span].reshape(shape) for shape, span in spans)
 
 
-def _ce_into(grad, pooled_s, bins, k, lam):
+def _ce_into(grad, pooled_s, bins, count, lam):
     """Mean cross entropy over the labeled pooled pixels; adds lam times its gradient into grad."""
-    rows = np.flatnonzero(bins < k)
-    if rows.size == 0:
+    k = len(count) - 1
+    true = np.arange(0, bins.size * k, k) + bins  # flat indices of the true-class entries
+    true = true[bins < k] if count[k] else true
+    if true.size == 0:
         raise ValidationError("no labeled pixels: cross entropy undefined")
-    true = bins[rows]
-    s_true = np.maximum(pooled_s[rows, true], CE_CLAMP)
-    grad[rows, true] += lam * (-1.0 / (rows.size * s_true))
+    s_true = np.maximum(pooled_s.take(true), CE_CLAMP)
+    grad.put(true, grad.take(true) + lam * (-1.0 / (true.size * s_true)))
     return float(-np.mean(np.log(s_true)))
 
 
@@ -328,7 +328,7 @@ def _auc_loss(mode, scores, labels, kind, pasted, pair_norm, lam=None):
     loss, grad = class_pair_loss(pooled_s, bins, count, w, kind)
     if lam is None:
         return LossReport(loss=loss, gradients=_scatter(grad, spans))
-    ce = _ce_into(grad, pooled_s, bins, k, lam)
+    ce = _ce_into(grad, pooled_s, bins, count, lam)
     return LossReport(loss=loss + lam * ce, gradients=_scatter(grad, spans), parts={"auc": loss, "ce": ce})
 
 
@@ -357,9 +357,9 @@ def ova_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") 
 
 def ce_loss(scores, labels) -> LossReport:
     """Mean cross entropy over labeled pixels, probabilities clamped at 1e-12."""
-    pooled_s, bins, k, _, spans = _pool(scores, labels)
+    pooled_s, bins, _, count, spans = _pool(scores, labels)
     grad_flat = np.zeros_like(pooled_s)
-    loss = _ce_into(grad_flat, pooled_s, bins, k, 1.0)
+    loss = _ce_into(grad_flat, pooled_s, bins, count, 1.0)
     return LossReport(loss=loss, gradients=_scatter(grad_flat, spans))
 
 

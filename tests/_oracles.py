@@ -145,6 +145,18 @@ def ce_ref(score_arrays, label_arrays, clamp=1e-12):
     return loss, grads
 
 
+def ce_into_ref(grad, pooled_s, bins, k, lam, clamp=1e-12):
+    """Cross entropy over pooled (n, K) scores, bins == k ignored, adding lam
+    times its gradient into grad through 2-D fancy indexing: the form the
+    flat-index version must match bit for bit."""
+    rows = np.flatnonzero(bins < k)
+    assert rows.size > 0
+    true = bins[rows]
+    s_true = np.maximum(pooled_s[rows, true], clamp)
+    grad[rows, true] += lam * (-1.0 / (rows.size * s_true))
+    return float(-np.mean(np.log(s_true)))
+
+
 def softmax_ref(logits):
     """Softmax over the last axis with numpy's own last-axis max and sum."""
     z = np.asarray(logits, dtype=np.float64)

@@ -183,6 +183,17 @@ def test_bench_loss_rejects_more_than_64_classes(capsys):
     assert err.startswith("error: validation: ")
 
 
+@pytest.mark.parametrize("flag, value", [("--repeat", "0"), ("--repeat", "-2"), ("--classes", "0"),
+                                         ("--classes", "-1"), ("--classes", "1"), ("--classes", "65")])
+def test_bench_loss_rejects_too_few_repeats_or_classes(capsys, flag, value):
+    # no repeat leaves nothing timed, no class no labels to draw; every
+    # class count is checked before the all-pairs arm spends its time
+    code, out, err = run(capsys, "bench-loss", "--pixels", "100", "--classes", "3",
+                         "--repeat", "1", flag, value)
+    assert code == 3
+    assert err.startswith("error: validation: ") and out == ""
+
+
 def test_train_cli_deterministic_across_runs(tmp_path, capsys):
     data = tmp_path / "d.segd"
     run(capsys, *gen_args(data, classes=4, images=20))

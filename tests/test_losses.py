@@ -11,8 +11,8 @@ from aucseg import (IGNORE, LabelGrid, NumericalError, ScoreGrid,
                     pair_loss_naive, softmax, softmax_backward)
 from aucseg.losses import SURROGATES
 
-from _oracles import (ce_ref, fd_gradient, ova_ref, ovo_ref, pair_loss_ref,
-                      softmax_backward_ref, softmax_ref)
+from _oracles import (ce_into_ref, ce_ref, fd_gradient, ova_ref, ovo_ref,
+                      pair_loss_ref, softmax_backward_ref, softmax_ref)
 
 RNG = np.random.default_rng
 
@@ -252,6 +252,37 @@ def test_hinge_on_softmax_scores_closes_over_first_moments(fn, ref, monkeypatch)
         assert rel_close(rep.loss, ref_loss, 1e-12)
         for g, rg in zip(rep.gradients, ref_grads):
             assert grad_close(g, rg, 1e-11)
+
+
+def _near_separation(rng, k=5, n_images=2, h=4, w=5):
+    """Softmax-like batch whose own-class score is 1 - 1e-6 at every pixel,
+    the other 1e-6 split at random over the other classes."""
+    labels = [rng.integers(0, k, size=(h, w)).astype(np.int32) for _ in range(n_images)]
+    labels[0][0, 0] = IGNORE
+    scores = []
+    for lab in labels:
+        own = np.arange(k) == np.where(lab == IGNORE, 0, lab)[..., None]
+        s = np.where(own, 0.0, rng.random((h, w, k)))
+        s *= 1e-6 / s.sum(axis=-1, keepdims=True)
+        s[own] = 1.0 - 1e-6
+        scores.append(s)
+    return scores, labels
+
+
+@pytest.mark.parametrize("fn, ref", [(ovo_auc_loss, ovo_ref), (ova_auc_loss, ova_ref)],
+                         ids=["ovo", "ova"])
+def test_hinge_near_separation_keeps_relative_accuracy(fn, ref, sort_path):
+    # every pair's margin is about 1e-6, so the loss is a millionth of the
+    # size of the terms it is summed from, and cancellation shows
+    for seed in range(4):
+        scores, labels = _near_separation(RNG(40 + seed))
+        ref_loss, ref_grads = ref(scores, labels, "hinge")
+        rep = fn(scores, labels, "hinge")
+        assert 0.0 < ref_loss < 1e-4
+        assert abs(rep.loss - ref_loss) <= 1e-9 * ref_loss
+        for g, rg in zip(rep.gradients, ref_grads):
+            assert grad_close(g, rg, 1e-11)
+    assert sort_path == []
 
 
 def test_hinge_falls_back_to_sorting_past_the_margin(sort_path):
@@ -503,6 +534,36 @@ def test_class_sum_keeps_numpys_order_and_the_tests_would_see_another(monkeypatc
     monkeypatch.setattr(losses, "_class_sum", sequential)
     assert any(not same_bits(softmax(z), softmax_ref(z))
                for k in ORACLE_KS if k >= 9 for z in _softmax_samples(RNG(100 + k), k))
+
+
+def _ce_cases(rng, k=5):
+    """Pooled (scores, bins) for the cross entropy oracle: IGNORE pixels,
+    true-class scores of 0 and 1e-300 that hit the clamp, no IGNORE at all,
+    one labeled pixel among ignored ones, and a single pixel."""
+    s = softmax(rng.standard_normal((40, k)) * 3.0)
+    bins = rng.integers(0, k + 1, 40)  # k is the IGNORE bin
+    bins[:3] = (0, 1, k)
+    s[0, 0], s[1, 1] = 0.0, 1e-300
+    single = np.full(6, k)
+    single[4] = 2
+    return [(s, bins), (s, np.minimum(bins, k - 1)), (s[:6], single), (s[:1], np.array([3]))]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.25, 1.0])
+def test_ce_flat_index_is_bit_identical_to_fancy_indexing(lam):
+    rng = RNG(52)
+    k = 5
+    for scores, bins in _ce_cases(rng, k):
+        base = rng.standard_normal(scores.shape)
+        base[::2, ::2] = 0.0
+        base[1::2, ::2] = -0.0  # signed zeros in the buffer, where lam = 0 adds -0.0
+        g_ref, g_new = base.copy(), base.copy()
+        loss_ref = ce_into_ref(g_ref, scores, bins, k, lam)
+        loss_new = losses._ce_into(g_new, scores, bins, np.bincount(bins, minlength=k + 1), lam)
+        assert same_bits(np.float64(loss_new), np.float64(loss_ref))
+        assert same_bits(g_new, g_ref), (lam, bins.size)
+    with pytest.raises(ValidationError):
+        losses._ce_into(np.zeros((3, k)), np.full((3, k), 0.2), np.full(3, k), np.array([0] * k + [3]), lam)
 
 
 def test_combined_loss_parts_and_linearity():
