@@ -10,9 +10,11 @@ pairs differ only in how w is filled, and ``pair_loss`` is its
 two-class case. Each surrogate has one exact decomposition:
 
   square  ell(x) = (1 - x)^2
-      expands into per-class first and second moments of every score
-      channel (onehot^T S, onehot^T S^2), so the loss and every
-      gradient entry close over (K+1, K) matrices.
+      a class-j pixel's gradient on channel c is offset[j, c] +
+      slope[j, c] * s, closing over per-class first moments of every
+      score channel (bincounts). The loss is quadratic in S, so
+      it is f(0) + (<grad f(0), S> + <grad f(S), S>) / 2, where
+      grad f(0) is twice the linear surrogate's per-class table.
   hinge   ell(x) = max(0, 1 - x)
       a pair is active iff a < b + 1. When every channel's scores span
       less than 1, as softmax outputs in [0, 1] do short of saturating
@@ -78,8 +80,7 @@ def pair_loss(pos, neg, kind="square") -> PairLossResult:
     a, b = _check_pair_inputs(pos, neg, kind)
     p, n = a.size, b.size
     scores = np.zeros((p + n, 2))
-    scores[:p, 0] = a
-    scores[p:, 0] = b
+    scores[:, 0] = np.concatenate((a, b))
     bins = np.repeat(np.arange(2), (p, n))
     w = np.array([[0.0, 1.0 / (p * n)], [0.0, 0.0]])
     loss, grad = class_pair_loss(scores, bins, np.array([p, n, 0]), w, kind)
@@ -180,6 +181,12 @@ def softmax_backward(scores: np.ndarray, grad_scores: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bin_sums(x, bins, k):
+    """(K + 1, K) per-class sums of each column of an (n, K) array; row K sums the ignored pixels."""
+    cells = (bins[:, None] * k + np.arange(k)).ravel()  # (class, channel) cells, no strided column reads
+    return np.bincount(cells, weights=x.ravel(), minlength=(k + 1) * k).reshape(k + 1, k)
+
+
 def class_pair_loss(scores, bins, count, w, kind):
     """Weighted surrogate sum over every class pair of pooled pixels.
 
@@ -197,49 +204,42 @@ def class_pair_loss(scores, bins, count, w, kind):
     n, k = scores.shape
     wt = np.zeros((k + 1, k))  # wt[j, c]: weight of a class-j pixel as a negative on channel c
     wt[:k] = w.T
-    nk, alpha = count[:k], count @ wt
+    nk, alpha = count[:k], (wt * count[:, None]).sum(axis=0)
+    # gradient of the linear surrogate 1 - a + b at a class-j pixel on channel c
+    table = wt * nk
+    table[:k][np.diag_indices(k)] = -alpha
     if kind == "hinge":
         # fl(x + 1) is monotone: a channel of range under 1 has a < fl(b + 1) for every pair,
         # the sort path's active set. The array's range bounds all channels' at a tenth of the cost.
         if not (scores.max() < scores.min() + 1.0
                 or np.all(scores.max(axis=0) < scores.min(axis=0) + 1.0)):
             return _hinge_pairs(scores, bins, wt, count)
-        # every pair active: ell = 1 - a + b is affine, its gradient a per-class table
-        offset = wt * nk
-        offset[:k][np.diag_indices(k)] = -alpha
-        grad = offset[bins]
-        return float(alpha @ nk + np.vdot(grad, scores)), grad
-    onehot = np.zeros((n, k + 1))
-    onehot[np.arange(n), bins] = 1.0
-    if kind != "exp":
-        m1 = onehot.T @ scores
-        d1 = np.diag(m1)
-        beta = (wt * m1).sum(axis=0)
+        # every pair active: ell = 1 - a + b is affine, its gradient the table
+        grad = table[bins]
+        return float(np.sum(alpha * nk) + np.vdot(grad, scores)), grad
     if kind == "square":
-        # ell = (1 - a + b)^2 closes over per-class first and second moments
-        m2 = onehot.T @ (scores * scores)
-        d2 = np.diag(m2)
-        gamma = (wt * m2).sum(axis=0)
-        loss = np.sum(alpha * (nk - 2.0 * d1 + d2) + 2.0 * (nk - d1) * beta + nk * gamma)
+        m1 = _bin_sums(scores, bins, k)
         # gradient of a class-j pixel on channel c is offset[j, c] + slope[j, c] * s
-        offset = 2.0 * wt * (nk - d1)
+        offset = 2.0 * wt * (nk - np.diag(m1))
         slope = 2.0 * wt * nk
-        offset[:k][np.diag_indices(k)] = -2.0 * (alpha + beta)
+        offset[:k][np.diag_indices(k)] = -2.0 * (alpha + (wt * m1).sum(axis=0))
         slope[:k][np.diag_indices(k)] = 2.0 * alpha
-        return float(loss), offset[bins] + slope[bins] * scores
+        grad = offset[bins] + slope[bins] * scores
+        # f quadratic: f(S) = f(0) + (<grad f(0), S> + <grad f(S), S>) / 2, grad f(0) = 2 table[bins]
+        return float(np.sum(alpha * nk) + np.sum(table * m1) + 0.5 * np.einsum("ij,ij->", grad, scores)), grad
     # exp: ell = exp(-a) * exp(b), each factor shifted by its channel's
     # extreme score so that no exponential overflows unless the loss does
     live = (wt > 0).any(axis=0)
-    hi = np.where((wt > 0)[bins], scores, -np.inf).max(axis=0)
-    lo = np.where(onehot[:, :k] > 0, scores, np.inf).min(axis=0)
-    hi[~live] = 0.0
-    lo[count[:k] == 0] = 0.0
-    e_neg = np.exp(np.minimum(scores - hi, 0.0))
     own = np.minimum(bins, k - 1)  # each pixel's own channel; ignored pixels carry no weight
     pos = np.take_along_axis(scores, own[:, None], axis=1)[:, 0]
+    hi = np.where(live, np.where((wt > 0)[bins], scores, -np.inf).max(axis=0), 0.0)
+    lo = np.full(k + 1, np.inf)
+    np.minimum.at(lo, bins, pos)  # per-class minimum of the own-channel score
+    lo = np.where(count > 0, lo, 0.0)[:k]
+    e_neg = np.exp(np.minimum(scores - hi, 0.0))
     e_pos = np.where(bins < k, np.exp(np.minimum(lo[own] - pos, 0.0)), 0.0)
     sum_pos = np.bincount(bins, weights=e_pos, minlength=k + 1)[:k]
-    sum_neg = (wt * (onehot.T @ e_neg)).sum(axis=0)
+    sum_neg = (wt * _bin_sums(e_neg, bins, k)).sum(axis=0)
     with np.errstate(over="ignore", divide="ignore"):
         loss = np.sum(np.exp(hi[live] - lo[live] + np.log(sum_pos[live] * sum_neg[live])))
         scale = np.where(live, np.exp(hi - lo), 0.0)

@@ -157,6 +157,14 @@ def ce_into_ref(grad, pooled_s, bins, k, lam, clamp=1e-12):
     return float(-np.mean(np.log(s_true)))
 
 
+def bin_sums_ref(x, bins, k):
+    """Per-class column sums of an (n, m) array as a one-hot (n, K + 1)
+    matrix product; row K sums the pixels in bin K (ignored)."""
+    onehot = np.zeros((len(bins), k + 1))
+    onehot[np.arange(len(bins)), bins] = 1.0
+    return onehot.T @ x
+
+
 def softmax_ref(logits):
     """Softmax over the last axis with numpy's own last-axis max and sum."""
     z = np.asarray(logits, dtype=np.float64)

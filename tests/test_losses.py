@@ -11,8 +11,8 @@ from aucseg import (IGNORE, LabelGrid, NumericalError, ScoreGrid,
                     pair_loss_naive, softmax, softmax_backward)
 from aucseg.losses import SURROGATES
 
-from _oracles import (ce_into_ref, ce_ref, fd_gradient, ova_ref, ovo_ref,
-                      pair_loss_ref, softmax_backward_ref, softmax_ref)
+from _oracles import (bin_sums_ref, ce_into_ref, ce_ref, fd_gradient, ova_ref,
+                      ovo_ref, pair_loss_ref, softmax_backward_ref, softmax_ref)
 
 RNG = np.random.default_rng
 
@@ -283,6 +283,41 @@ def test_hinge_near_separation_keeps_relative_accuracy(fn, ref, sort_path):
         for g, rg in zip(rep.gradients, ref_grads):
             assert grad_close(g, rg, 1e-11)
     assert sort_path == []
+
+
+@pytest.mark.parametrize("fn, ref", [(ovo_auc_loss, ovo_ref), (ova_auc_loss, ova_ref)],
+                         ids=["ovo", "ova"])
+def test_square_near_separation_keeps_absolute_accuracy(fn, ref):
+    # the loss, about 3e-11, is its value at zero plus two inner products of
+    # order one, so it cannot keep relative accuracy; it must stay within a
+    # few rounding errors of those terms
+    for seed in range(4):
+        scores, labels = _near_separation(RNG(40 + seed))
+        ref_loss, ref_grads = ref(scores, labels, "square")
+        rep = fn(scores, labels, "square")
+        assert 0.0 < ref_loss < 1e-10
+        assert abs(rep.loss - ref_loss) <= 1e-14
+        for g, rg in zip(rep.gradients, ref_grads):
+            assert grad_close(g, rg, 1e-11)
+
+
+@pytest.mark.parametrize("k", [2, 5, 64])
+def test_bin_sums_match_a_one_hot_product(k):
+    # per-class sums of every column: classes left empty, ignored pixels in bin K
+    rng = RNG(70 + k)
+    n = 3 * k + 40
+    bins = rng.integers(0, k, size=n)
+    bins[rng.random(n) < 0.2] = k
+    bins[bins == 1] = 0
+    x = rng.standard_normal((n, k))
+    got = losses._bin_sums(x, bins, k)
+    want = bin_sums_ref(x, bins, k)
+    assert got.shape == (k + 1, k)
+    assert np.all(got[1] == 0.0) and np.all(got[k] != 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * bin_sums_ref(np.abs(x), bins, k))
+    # integer-valued entries sum exactly in any order
+    x = rng.integers(-1000, 1000, size=(n, k)).astype(np.float64)
+    assert losses._bin_sums(x, bins, k).tobytes() == bin_sums_ref(x, bins, k).tobytes()
 
 
 def test_hinge_falls_back_to_sorting_past_the_margin(sort_path):

@@ -1,5 +1,8 @@
 import hashlib
 import importlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -283,11 +286,26 @@ def test_train_config_integer_fields_reject_non_integers(name):
 KNOWN_ANSWER_BANK = BankConfig(memory_size=4, sample_ratio=1.0, resize_ratio=0.5, tail_fraction=0.34)
 
 
+def known_answer_run(out_dir, surrogate, mode, objective, bank):
+    """30 training steps on 30 generated 12x12 images, files written to out_dir."""
+    items, _ = generate(GenConfig(num_classes=12, height=12, width=12, channels=4, images=30,
+                                  zipf_s=1.2, presence=(1.0,) * 8 + (0.3,) * 4,
+                                  feature_noise_sigma=0.3, seed=19))
+    cfg = TrainConfig(surrogate=surrogate, mode=mode, objective=objective, max_iter=30,
+                      eval_every=10, batch_size=4, warmup_iters=3, head_count=4,
+                      middle_count=4, bank=bank, seed=5)
+    return train_and_save(items, cfg, out_dir)
+
+
+def float64_parameters(res):
+    return res.model.weights.tobytes() + res.model.bias.tobytes()
+
+
 @pytest.mark.parametrize("surrogate, mode, objective, bank, digests", [
     ("square", "ovo", "auc_ce", KNOWN_ANSWER_BANK,
      ("e90d2ff3eab3afffef6f82ecfc8039da17c1651e9da36469f898d152fb2eeaad",
       "c220f284b573506145b15efdb2225d2d6b85372eb8bb2937e5f4875ab27a6f6a",
-      "7c0218afc6711d4bad9aac4425c8d484833f2e875535c9b4c00731dd5b4c4c1c")),
+      "79bb37151d37f3a95d1bd3136971af88a78b53804cbf6dfa332fe81c9763e7b8")),
     ("square", "ovo", "ce", None,
      ("2cf9b7fca77c7b13f3b9bb24e7d675cf0e466f9dd71ddf8f3bf4193d5aae9193",
       "5e6872aa4a5218258e7d4c33bf7bfb1f782d4c6b7be0550698ae316e5879b512",
@@ -295,26 +313,49 @@ KNOWN_ANSWER_BANK = BankConfig(memory_size=4, sample_ratio=1.0, resize_ratio=0.5
     ("hinge", "ova", "auc_ce", KNOWN_ANSWER_BANK,
      ("85af833d7e0dfc8ddad1087e009103919cf5ba720bda0f3924fe106e9fb9192b",
       "f091721d2a6b079a02e8c2eaac71ad799a5bb7582df961394265c9f01777dc15",
-      "4137577a910e544d8568655a58407f8a48d4cea89e1f2b340aed5fa74b36500c")),
+      "bdf57a9cacaa038e316f37d45dea21e27615d93f04c23aa938c0aa5809381053")),
 ], ids=["square-ovo-auc_ce-bank", "ce", "hinge-ova-auc_ce-bank"])
 def test_training_files_known_answer(tmp_path, surrogate, mode, objective, bank, digests):
-    # digests taken with numpy 2.4.6 on x86-64 (generation, BLAS and exp may
-    # round differently elsewhere): metrics.csv, model.segm, and the float64
-    # parameters and step losses, which keep the last bits that the float32
-    # checkpoint and the 10-digit csv round away. The hinge loss on softmax
-    # scores is a dot product whose last bits may move with its summation
-    # order, so its step losses are left out; the parameters, which
-    # follow its gradients bit for bit, stay in.
-    items, _ = generate(GenConfig(num_classes=12, height=12, width=12, channels=4, images=30,
-                                  zipf_s=1.2, presence=(1.0,) * 8 + (0.3,) * 4,
-                                  feature_noise_sigma=0.3, seed=19))
-    cfg = TrainConfig(surrogate=surrogate, mode=mode, objective=objective, max_iter=30,
-                      eval_every=10, batch_size=4, warmup_iters=3, head_count=4,
-                      middle_count=4, bank=bank, seed=5)
-    res = train_and_save(items, cfg, tmp_path)
+    # digests of metrics.csv, model.segm, and the float64 parameters and step
+    # losses, which keep the last bits that the float32 checkpoint and the
+    # 10-digit csv round away. Taken with numpy 2.4.6 dispatching up to
+    # AVX512_SPR on x86-64 and scipy-openblas 0.3.31, where they hold on its
+    # SkylakeX and Haswell cores alike: the loss layer runs no BLAS. np.exp
+    # still follows numpy's SIMD target, and the forward and backward GEMMs
+    # round differently on the oldest cores (Sandybridge, Prescott). The
+    # hinge loss on softmax scores is a dot product whose last bits may move
+    # with its summation order, so its step losses are left out; the
+    # parameters, which follow its gradients bit for bit, stay in.
+    res = known_answer_run(tmp_path, surrogate, mode, objective, bank)
     assert (sum(s.pasted for s in res.steps) > 0) == (bank is not None)
     blobs = [(tmp_path / name).read_bytes() for name in ("metrics.csv", "model.segm")]
     step_losses = [] if surrogate == "hinge" else [s.loss for s in res.steps]
-    blobs.append(res.model.weights.tobytes() + res.model.bias.tobytes()
-                 + np.array(step_losses).tobytes())
+    blobs.append(float64_parameters(res) + np.array(step_losses).tobytes())
     assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == digests
+
+
+KNOWN_ANSWER_CHILD = """
+import sys
+from pathlib import Path
+import test_train
+out = Path(sys.argv[1])
+res = test_train.known_answer_run(out, sys.argv[2], sys.argv[3], "auc_ce", test_train.KNOWN_ANSWER_BANK)
+(out / "parameters.bin").write_bytes(test_train.float64_parameters(res))
+"""
+
+
+@pytest.mark.parametrize("surrogate, mode", [("square", "ovo"), ("hinge", "ova")])
+def test_known_answer_parameters_hold_on_openblas_haswell_core(tmp_path, surrogate, mode):
+    # OpenBLAS picks its core when it loads, so the Haswell one runs in a child
+    # process. The AUC loss and its gradient run no BLAS, and the forward and
+    # backward GEMMs round alike on this core and the default one, so the
+    # float64 parameters must match bit for bit. Where numpy's BLAS is not
+    # OpenBLAS the variable is ignored and the two runs match trivially.
+    src = os.path.dirname(os.path.dirname(aucseg.__file__))
+    path = [os.path.dirname(os.path.abspath(__file__)), src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(filter(None, path)))
+    (tmp_path / "child").mkdir()
+    subprocess.run([sys.executable, "-c", KNOWN_ANSWER_CHILD, str(tmp_path / "child"), surrogate, mode],
+                   env=env, check=True)
+    res = known_answer_run(tmp_path, surrogate, mode, "auc_ce", KNOWN_ANSWER_BANK)
+    assert (tmp_path / "child" / "parameters.bin").read_bytes() == float64_parameters(res)
