@@ -4,6 +4,13 @@ Grids are thin immutable wrappers around numpy arrays. Labels are int32
 class ids in [0, K); IGNORE (-1) marks pixels excluded from every loss
 and metric. Scores are dense per-pixel class probability maps, which is
 fine at the class counts targeted here (K <= 64).
+
+Score and score-gradient arrays are (H, W, K), class last, but the ones
+the package makes are views over class-major storage: one contiguous
+(H*W,) plane per class, so scores[..., c] is contiguous. The losses pool
+a batch into (K, n) class rows, and the trainer's logits and bias
+gradient work on the same rows. Plain arrays of any layout are accepted
+and give the same values.
 """
 from __future__ import annotations
 
@@ -92,7 +99,11 @@ class LabelGrid:
 
 @dataclass(frozen=True)
 class ScoreGrid:
-    """(H, W, K) float64 per-class scores, one slot per class."""
+    """(H, W, K) float64 per-class scores, one slot per class.
+
+    Any layout is accepted and kept; the package's own score grids are
+    class-last views over one contiguous (H, W) plane per class.
+    """
 
     scores: np.ndarray
 
@@ -201,7 +212,8 @@ class ClassStats:
 class LossReport:
     """A scalar loss plus its gradient w.r.t. every score entry.
 
-    ``gradients`` has one (H, W, K) float64 array per batch item. The
+    ``gradients`` has one (H, W, K) float64 array per batch item, a
+    read-only class-last view over the class rows of one buffer. The
     ``parts`` dict carries named sub-losses (e.g. auc/ce) when the loss
     is a composite; leaf losses leave it empty.
     """

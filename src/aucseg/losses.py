@@ -79,12 +79,12 @@ def pair_loss(pos, neg, kind="square") -> PairLossResult:
     """Mean surrogate loss over all (pos, neg) pairs: a two-class engine call."""
     a, b = _check_pair_inputs(pos, neg, kind)
     p, n = a.size, b.size
-    scores = np.zeros((p + n, 2))
-    scores[:, 0] = np.concatenate((a, b))
+    scores = np.zeros((2, p + n))
+    scores[0] = np.concatenate((a, b))
     bins = np.repeat(np.arange(2), (p, n))
     w = np.array([[0.0, 1.0 / (p * n)], [0.0, 0.0]])
     loss, grad = class_pair_loss(scores, bins, np.array([p, n, 0]), w, kind)
-    return PairLossResult(loss, grad[:p, 0].copy(), grad[p:, 0].copy())
+    return PairLossResult(loss, grad[0, :p].copy(), grad[0, p:].copy())
 
 
 def pair_loss_naive(pos, neg, kind="square") -> PairLossResult:
@@ -121,101 +121,107 @@ def pair_loss_naive(pos, neg, kind="square") -> PairLossResult:
     return PairLossResult(float(total * scale), grad_pos, grad_neg)
 
 
-# Up to this many classes, K passes over the columns of an (n, K) array
-# beat numpy's one-row-at-a-time last-axis sum; from about 28 on they lose
-# (timings in CHANGES.md).
-_COLUMN_SUM_MAX_K = 24
-
-
 def _class_sum(x):
-    """x.sum(axis=-1) of an (n, K) array, bit for bit.
+    """The column sums of a (K, n) array of class rows, bit for bit as numpy
+    adds a last axis of K entries.
 
-    numpy adds a last axis of at most 128 entries to an initial 0.0
-    pairwise: eight running sums over columns j, j + 8, j + 16, ..., the
-    tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last
-    K % 8 columns in turn. Up to _COLUMN_SUM_MAX_K classes the same order
-    runs over whole columns.
+    numpy adds such an axis to an initial 0.0 pairwise: up to 128 entries,
+    eight running sums over entries j, j + 8, j + 16, ..., the tree
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last K % 8
+    entries in turn; above 128 it splits at a multiple of 8 near the middle
+    and adds the two halves' sums. The same order runs here over whole rows:
+    the running sums are one sum over the outer axis of an (m, 8, n) view,
+    which numpy adds in sequence.
     """
-    k = x.shape[1]
-    if k > _COLUMN_SUM_MAX_K:
-        return x.sum(axis=-1)
-    cols = x.T
+    k = len(x)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _class_sum(x[:half]) + _class_sum(x[half:])
     stop = k - k % 8
-    total = np.zeros(len(x))
+    total = np.zeros(x.shape[1])
     if stop:
-        r = cols[:8]
-        for i in range(8, stop, 8):
-            r = [a + b for a, b in zip(r, cols[i : i + 8])]
+        r = x[:stop].reshape(stop // 8, 8, -1).sum(axis=0) if stop > 8 else x[:8]
         total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for c in cols[stop:]:
-        total += c
+    for row in x[stop:]:
+        total += row
     return total
+
+
+def _class_rows(x):
+    """The (K, n) class rows of a class-last (..., K) array: a view when its
+    class planes are contiguous, as the package's own arrays are, else a copy."""
+    return np.moveaxis(x, -1, 0).reshape(x.shape[-1], -1)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, stabilized by max subtraction.
 
-    The max is a running maximum over the class columns and the sum is
-    ``_class_sum``, so every bit equals the last-axis reductions' of a
-    C-contiguous array, whatever the input's layout.
+    The result is a class-last view over class-major storage, one
+    contiguous row per class. The max is taken over the class rows and the
+    sum is ``_class_sum``, so every bit equals the last-axis reductions' of
+    a C-contiguous array, whatever the input's layout.
     """
-    z = np.asarray(logits, dtype=np.float64, order="C")
-    flat = z.reshape(-1, z.shape[-1])
-    top = flat[:, 0].copy()
-    for c in flat.T[1:]:
-        np.maximum(top, c, out=top)
-    e = flat - top[:, None]
+    z = np.asarray(logits, dtype=np.float64)
+    rows = _class_rows(z)
+    e = np.subtract(rows, rows.max(axis=0), out=np.empty(rows.shape))
     np.exp(e, out=e)
-    e /= _class_sum(e)[:, None]
-    return e.reshape(z.shape)
+    e /= _class_sum(e)
+    return np.moveaxis(e.reshape((len(e),) + z.shape[:-1]), 0, -1)
 
 
 def softmax_backward(scores: np.ndarray, grad_scores: np.ndarray) -> np.ndarray:
-    """Exact chain rule through softmax: grad wrt logits from grad wrt scores."""
-    s = np.asarray(scores, dtype=np.float64, order="C")
-    g = np.asarray(grad_scores, dtype=np.float64, order="C")
-    out = g * s
-    inner = _class_sum(out.reshape(-1, out.shape[-1]))
-    np.subtract(g, inner.reshape(out.shape[:-1] + (1,)), out=out)
-    out *= s
-    return out
+    """Exact chain rule through softmax: grad wrt logits from grad wrt scores.
+
+    Like ``softmax``, the result is a class-last view over class rows.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    rows_s = _class_rows(s)
+    # one copy into contiguous class rows: a loss gradient's rows are strided views of its batch buffer
+    out = np.array(_class_rows(np.asarray(grad_scores, dtype=np.float64)), order="C")
+    out -= _class_sum(out * rows_s)
+    out *= rows_s
+    return np.moveaxis(out.reshape((len(out),) + s.shape[:-1]), 0, -1)
 
 
 def _bin_sums(x, bins, k):
-    """(K + 1, K) per-class sums of each column of an (n, K) array; row K sums the ignored pixels."""
-    cells = (bins[:, None] * k + np.arange(k)).ravel()  # (class, channel) cells, no strided column reads
-    return np.bincount(cells, weights=x.ravel(), minlength=(k + 1) * k).reshape(k + 1, k)
+    """(K + 1, K) per-class sums of each class row of a (K, n) array; row K sums the ignored pixels."""
+    return np.stack([np.bincount(bins, weights=row, minlength=k + 1) for row in x], axis=1)
 
 
 def class_pair_loss(scores, bins, count, w, kind):
     """Weighted surrogate sum over every class pair of pooled pixels.
 
-    scores is (n, K), bins (n,) class ids in [0, K] with K for ignored
-    pixels, count the (K + 1,) bincount of bins, and w[c, j] the weight
-    of one (class-c pixel, class-j pixel) pair scored on channel c:
+    scores is (K, n), one row per class channel, bins (n,) class ids in
+    [0, K] with K for ignored pixels, count the (K + 1,) bincount of bins,
+    and w[c, j] the weight of one (class-c pixel, class-j pixel) pair
+    scored on channel c:
 
-        loss = sum_c sum_j w[c, j] sum_{m in c, t in j} ell(s[m, c] - s[t, c])
+        loss = sum_c sum_j w[c, j] sum_{m in c, t in j} ell(s[c, m] - s[c, t])
 
     w must be zero on the diagonal and wherever class c or j is empty.
-    Returns the loss and its (n, K) gradient.
+    Returns the loss and its (K, n) gradient. A (K + 1, K) per-class table
+    is read at every pixel's class as column c of the table for class row c,
+    with take(mode="clip"), which writes straight into its out array; bins
+    lie in [0, K], so nothing is clipped.
     """
     if kind not in SURROGATES:
         raise ValidationError("unknown surrogate %r, expected one of %r" % (kind, SURROGATES))
-    n, k = scores.shape
+    k, n = scores.shape
     wt = np.zeros((k + 1, k))  # wt[j, c]: weight of a class-j pixel as a negative on channel c
     wt[:k] = w.T
     nk, alpha = count[:k], (wt * count[:, None]).sum(axis=0)
     # gradient of the linear surrogate 1 - a + b at a class-j pixel on channel c
     table = wt * nk
     table[:k][np.diag_indices(k)] = -alpha
+    grad, tmp = np.empty((k, n)), np.empty(n)
     if kind == "hinge":
         # fl(x + 1) is monotone: a channel of range under 1 has a < fl(b + 1) for every pair,
         # the sort path's active set. The array's range bounds all channels' at a tenth of the cost.
         if not (scores.max() < scores.min() + 1.0
-                or np.all(scores.max(axis=0) < scores.min(axis=0) + 1.0)):
+                or np.all(scores.max(axis=1) < scores.min(axis=1) + 1.0)):
             return _hinge_pairs(scores, bins, wt, count)
         # every pair active: ell = 1 - a + b is affine, its gradient the table
-        grad = table[bins]
+        np.take(table.T, bins, axis=1, out=grad, mode="clip")
         return float(np.sum(alpha * nk) + np.vdot(grad, scores)), grad
     if kind == "square":
         m1 = _bin_sums(scores, bins, k)
@@ -224,29 +230,36 @@ def class_pair_loss(scores, bins, count, w, kind):
         slope = 2.0 * wt * nk
         offset[:k][np.diag_indices(k)] = -2.0 * (alpha + (wt * m1).sum(axis=0))
         slope[:k][np.diag_indices(k)] = 2.0 * alpha
-        grad = offset[bins] + slope[bins] * scores
+        for row, s, off, sl in zip(grad, scores, offset.T, slope.T):  # one class row at a time, in cache
+            sl.take(bins, out=row, mode="clip")
+            row *= s
+            row += off.take(bins, out=tmp, mode="clip")
         # f quadratic: f(S) = f(0) + (<grad f(0), S> + <grad f(S), S>) / 2, grad f(0) = 2 table[bins]
         return float(np.sum(alpha * nk) + np.sum(table * m1) + 0.5 * np.einsum("ij,ij->", grad, scores)), grad
     # exp: ell = exp(-a) * exp(b), each factor shifted by its channel's
     # extreme score so that no exponential overflows unless the loss does
     live = (wt > 0).any(axis=0)
     own = np.minimum(bins, k - 1)  # each pixel's own channel; ignored pixels carry no weight
-    pos = np.take_along_axis(scores, own[:, None], axis=1)[:, 0]
-    hi = np.where(live, np.where((wt > 0)[bins], scores, -np.inf).max(axis=0), 0.0)
+    at_own = own * n + np.arange(n)  # flat index of each pixel's own-channel entry
+    pos = scores.take(at_own)
+    hi = np.where(np.take((wt > 0).T, bins, axis=1, mode="clip"), scores, -np.inf).max(axis=1)
+    hi = np.where(live, hi, 0.0)
     lo = np.full(k + 1, np.inf)
     np.minimum.at(lo, bins, pos)  # per-class minimum of the own-channel score
     lo = np.where(count > 0, lo, 0.0)[:k]
-    e_neg = np.exp(np.minimum(scores - hi, 0.0))
+    np.subtract(scores, hi[:, None], out=grad)
+    np.exp(np.minimum(grad, 0.0, out=grad), out=grad)  # e_neg, scaled per pixel below
     e_pos = np.where(bins < k, np.exp(np.minimum(lo[own] - pos, 0.0)), 0.0)
     sum_pos = np.bincount(bins, weights=e_pos, minlength=k + 1)[:k]
-    sum_neg = (wt * _bin_sums(e_neg, bins, k)).sum(axis=0)
+    sum_neg = (wt * _bin_sums(grad, bins, k)).sum(axis=0)
     with np.errstate(over="ignore", divide="ignore"):
         loss = np.sum(np.exp(hi[live] - lo[live] + np.log(sum_pos[live] * sum_neg[live])))
         scale = np.where(live, np.exp(hi - lo), 0.0)
     if not np.isfinite(loss):
         raise NumericalError("exp surrogate loss overflows float64")
-    grad = e_neg * (wt * (sum_pos * scale))[bins]
-    grad[np.arange(n), own] -= e_pos * (scale * sum_neg)[own]
+    for row, factor in zip(grad, (wt * (sum_pos * scale)).T):
+        row *= factor.take(bins, out=tmp, mode="clip")
+    grad.put(at_own, grad.take(at_own) - e_pos * (scale * sum_neg)[own])
     return float(loss), grad
 
 
@@ -257,14 +270,13 @@ def _hinge_pairs(scores, bins, wt, count):
     searchsorted gives every pixel its count of active positives, and a
     weighted bincount of those counts the positives' suffix sums.
     """
-    n, k = scores.shape
+    k, n = scores.shape
     order = np.argsort(bins, kind="stable")
     starts = np.concatenate(([0], np.cumsum(count)))
-    channels = np.ascontiguousarray(scores.T)
     loss = 0.0
     grad = np.zeros((k, n))
     for c in np.flatnonzero((wt > 0).any(axis=0)):
-        b = channels[c]
+        b = scores[c]
         rows = order[starts[c] : starts[c + 1]]
         a = b[rows]
         rank = np.argsort(a)
@@ -277,23 +289,33 @@ def _hinge_pairs(scores, bins, wt, count):
         by_count = np.bincount(active, weights=weight, minlength=a.size + 1)
         loss += grad[c].sum() + grad[c] @ b - by_count @ prefix
         grad[c, rows[rank]] = -np.cumsum(by_count[::-1])[-2::-1]
-    return float(loss), np.ascontiguousarray(grad.T)
+    return float(loss), grad
+
+
+def _image_columns(pooled, shape, span):
+    """One image's columns of a (K, n) pooled array, as its class-last (H, W, K) view."""
+    return np.moveaxis(pooled[:, span].reshape((shape[-1],) + shape[:-1]), 0, -1)
 
 
 def _pool(scores, labels):
+    """The batch's scores pooled class-major, (K, n), with pool_batch's other outputs."""
     score_arrays, bins, k, count, spans = pool_batch(scores, labels)
-    return np.concatenate([s.reshape(-1, k) for s in score_arrays]), bins, k, count, spans
+    pooled = np.empty((k, bins.size))
+    for s, (shape, span) in zip(score_arrays, spans):
+        _image_columns(pooled, shape, span)[...] = s
+    return pooled, bins, k, count, spans
 
 
-def _scatter(grad_flat, spans):
-    grad_flat.setflags(write=False)  # before slicing, so every per-image view is read-only
-    return tuple(grad_flat[span].reshape(shape) for shape, span in spans)
+def _scatter(grad, spans):
+    grad.setflags(write=False)  # before slicing, so every per-image view is read-only
+    return tuple(_image_columns(grad, shape, span) for shape, span in spans)
 
 
 def _ce_into(grad, pooled_s, bins, count, lam):
-    """Mean cross entropy over the labeled pooled pixels; adds lam times its gradient into grad."""
+    """Mean cross entropy over the labeled pooled pixels of (K, n) class rows;
+    adds lam times its gradient into the (K, n) grad."""
     k = len(count) - 1
-    true = np.arange(0, bins.size * k, k) + bins  # flat indices of the true-class entries
+    true = bins * bins.size + np.arange(bins.size)  # flat indices of the true-class entries
     true = true[bins < k] if count[k] else true
     if true.size == 0:
         raise ValidationError("no labeled pixels: cross entropy undefined")
@@ -358,16 +380,16 @@ def ova_auc_loss(scores, labels, kind="square", pasted=None, pair_norm="union") 
 def ce_loss(scores, labels) -> LossReport:
     """Mean cross entropy over labeled pixels, probabilities clamped at 1e-12."""
     pooled_s, bins, _, count, spans = _pool(scores, labels)
-    grad_flat = np.zeros_like(pooled_s)
-    loss = _ce_into(grad_flat, pooled_s, bins, count, 1.0)
-    return LossReport(loss=loss, gradients=_scatter(grad_flat, spans))
+    grad = np.zeros_like(pooled_s)
+    loss = _ce_into(grad, pooled_s, bins, count, 1.0)
+    return LossReport(loss=loss, gradients=_scatter(grad, spans))
 
 
 def combined_loss(scores, labels, kind="square", mode="ovo", lam=0.25,
                   pasted=None, pair_norm="union") -> LossReport:
     """Ranking loss plus lam times cross entropy over one pooling of the batch.
 
-    The per-image gradients are read-only views of one (n, K) buffer.
+    The per-image gradients are read-only views of one (K, n) buffer.
     """
     if mode not in ("ovo", "ova"):
         raise ValidationError("mode must be 'ovo' or 'ova', got %r" % (mode,))

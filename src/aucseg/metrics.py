@@ -29,7 +29,10 @@ from .grids import IGNORE, ClassStats, LabelGrid, ScoreGrid, pool_batch
 def argmax_labels(score_grids):
     """Per-pixel argmax over class slots; ties go to the smaller class id.
 
-    A plain score array must be finite (a ScoreGrid was checked when built).
+    One max over the class planes, then each plane from the last class
+    down labels the pixels where it holds that max: no transposing copy of
+    class-major scores, as numpy's argmax makes. A plain score array must
+    be finite (a ScoreGrid was checked when built).
     """
     out = []
     for i, s in enumerate(score_grids):
@@ -39,20 +42,39 @@ def argmax_labels(score_grids):
             arr = np.asarray(s, dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("score grid %d: scores must be finite" % i)
-        out.append(arr.argmax(axis=-1).astype(np.int32))
+        planes = np.moveaxis(arr, -1, 0)
+        top = planes.max(axis=0)
+        pred = np.full(top.shape, len(planes) - 1, dtype=np.int32)
+        for c in range(len(planes) - 2, -1, -1):
+            pred[planes[c] == top] = c
+        out.append(pred)
     return out
+
+
+def _doubled_count_below(sorted_seg, keys):
+    """The sum over keys of 2 #(sorted_seg < key) + #(sorted_seg == key), a Python int.
+
+    That is the left plus the right insertion points of each key. Only a
+    key found at its left insertion point ties, so the right-side search
+    runs on those keys alone.
+    """
+    left = np.searchsorted(sorted_seg, keys, side="left")
+    tied = sorted_seg[np.minimum(left, sorted_seg.size - 1)] == keys
+    ties = np.searchsorted(sorted_seg, keys[tied], side="right") - left[tied]
+    return 2 * int(left.sum()) + int(ties.sum())
 
 
 def ovo_auc_metric(scores, labels) -> float:
     """Mean one-vs-one ranking metric over realized ordered class pairs.
 
     Pixels are grouped by class once (a stable radix argsort of the
-    bins). Per channel c the channel-c column is gathered in that order
-    and each class segment is sorted on its own. For an ordered pair
-    (c, d), a class-c pixel that channel c scores above a class-d pixel
-    counts 2 and a tie 1, so half credit stays exact; the integer sum
-    comes from searchsorteds of the smaller of the two sorted segments
-    into the larger.
+    bins). Per channel c the channel-c column is gathered in that order,
+    from one contiguous plane per image for the package's class-major
+    score grids, and each class segment is sorted on its own. For an
+    ordered pair (c, d), a class-c pixel that channel c scores above a
+    class-d pixel counts 2 and a tie 1, so half credit stays exact; the
+    integer sum comes from searching the smaller of the two sorted
+    segments into the larger.
     """
     score_arrays, bins, k, count, _ = pool_batch(scores, labels)
     present = np.flatnonzero(count[:k])
@@ -72,12 +94,9 @@ def ovo_auc_metric(scores, labels) -> float:
                 continue
             q = segments[d]
             if pos.size <= q.size:
-                doubled = (int(np.searchsorted(q, pos, side="left").sum())
-                           + int(np.searchsorted(q, pos, side="right").sum()))
+                doubled = _doubled_count_below(q, pos)
             else:
-                doubled = (2 * pos.size * q.size
-                           - int(np.searchsorted(pos, q, side="left").sum())
-                           - int(np.searchsorted(pos, q, side="right").sum()))
+                doubled = 2 * pos.size * q.size - _doubled_count_below(pos, q)
             total += doubled / 2.0 / (pos.size * q.size)  # (c, c') order, one rounding per pair
     return total / (present.size * (present.size - 1))
 

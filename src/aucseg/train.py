@@ -60,8 +60,13 @@ def init_model(channels: int, num_classes: int, seed: int = 0) -> PixelModel:
 
 
 def forward(model: PixelModel, feature_grids):
-    """Score grids for a list of FeatureGrids."""
+    """Score grids for a list of FeatureGrids.
+
+    Logits are computed class-major, one (H*W,) row per class, so each
+    ScoreGrid's scores are a read-only class-last view over class planes.
+    """
     out = []
+    weights_t, bias = model.weights.T, model.bias[:, None]
     # one errstate for the call: non-finite logits raise below, and from
     # finite logits softmax can only overflow in a difference from the
     # row max, whose exp is 0 either way
@@ -70,11 +75,11 @@ def forward(model: PixelModel, feature_grids):
             v = feat.values if isinstance(feat, FeatureGrid) else np.asarray(feat)
             if v.shape[-1] != model.channels:
                 raise ValidationError("feature channels %d != model channels %d" % (v.shape[-1], model.channels))
-            logits = v.astype(np.float64) @ model.weights
-            logits += model.bias
+            logits = weights_t @ v.reshape(-1, model.channels).T.astype(np.float64)
+            logits += bias
             if not np.all(np.isfinite(logits)):
                 raise NumericalError("non-finite logits: parameters or features overflow")
-            out.append(ScoreGrid(scores=softmax(logits)))
+            out.append(ScoreGrid(scores=softmax(np.moveaxis(logits.reshape((-1,) + v.shape[:-1]), 0, -1))))
     return out
 
 
@@ -201,9 +206,9 @@ def _backward(model, batch, scores, grads):
     for (feat, _), sg, g in zip(batch, scores, grads):
         dlogits = softmax_backward(sg.scores, g)
         flat_x = feat.values.reshape(-1, model.channels).astype(np.float64)
-        flat_g = dlogits.reshape(-1, model.num_classes)
-        dw += flat_x.T @ flat_g
-        db += flat_g.sum(axis=0)
+        rows = np.moveaxis(dlogits, -1, 0).reshape(model.num_classes, -1)  # class rows, a view
+        dw += flat_x.T @ rows.T
+        db += rows.sum(axis=1)
     return dw, db
 
 

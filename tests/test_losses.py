@@ -310,14 +310,14 @@ def test_bin_sums_match_a_one_hot_product(k):
     bins[rng.random(n) < 0.2] = k
     bins[bins == 1] = 0
     x = rng.standard_normal((n, k))
-    got = losses._bin_sums(x, bins, k)
+    got = losses._bin_sums(np.ascontiguousarray(x.T), bins, k)  # the engine's (K, n) class rows
     want = bin_sums_ref(x, bins, k)
     assert got.shape == (k + 1, k)
     assert np.all(got[1] == 0.0) and np.all(got[k] != 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * bin_sums_ref(np.abs(x), bins, k))
     # integer-valued entries sum exactly in any order
     x = rng.integers(-1000, 1000, size=(n, k)).astype(np.float64)
-    assert losses._bin_sums(x, bins, k).tobytes() == bin_sums_ref(x, bins, k).tobytes()
+    assert losses._bin_sums(np.ascontiguousarray(x.T), bins, k).tobytes() == bin_sums_ref(x, bins, k).tobytes()
 
 
 def test_hinge_falls_back_to_sorting_past_the_margin(sort_path):
@@ -510,6 +510,11 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def class_major(x):
+    """A class-last copy of x stored as the package stores scores: one contiguous plane per class."""
+    return np.moveaxis(np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0).copy(), 0, -1)
+
+
 def _softmax_samples(rng, k):
     """Logits for the oracle tests: 1-D, 2-D and 3-D, a 1x1 image, no pixels,
     scales from 0.1 to 300, tied maxima, and +-700 rows that saturate."""
@@ -530,7 +535,10 @@ def _softmax_samples(rng, k):
 @pytest.mark.parametrize("k", ORACLE_KS)
 def test_softmax_is_bit_identical_to_last_axis_reductions(k):
     for z in _softmax_samples(RNG(100 + k), k):
-        assert same_bits(softmax(z), softmax_ref(z)), (k, z.shape)
+        s = softmax(z)
+        assert same_bits(s, softmax_ref(z)), (k, z.shape)
+        assert same_bits(softmax(class_major(z)), s)
+        assert all(s[..., c].flags.c_contiguous for c in range(k))  # stored one plane per class
     # numpy's own sum order depends on the layout; the result here does not
     z = RNG(k).standard_normal((9, 2 * k))
     for view in (np.asfortranarray(z[:, :k]), z[:, ::2]):
@@ -550,20 +558,70 @@ def test_softmax_backward_is_bit_identical_to_last_axis_reductions(k):
         for g in (rng.standard_normal(z.shape) * 1e-3,
                   np.where(rng.random(z.shape) < 0.7, -0.0, rng.standard_normal(z.shape)),
                   np.full(z.shape, -0.0)):  # every product -0.0: the sum is 0.0
-            assert same_bits(softmax_backward(s, g), softmax_backward_ref(s, g)), (k, z.shape)
+            back = softmax_backward(s, g)
+            assert same_bits(back, softmax_backward_ref(s, g)), (k, z.shape)
+            assert same_bits(softmax_backward(class_major(s), class_major(g)), back)
+            assert all(back[..., c].flags.c_contiguous for c in range(k))
+
+
+def _pair_weights(count, k, rng):
+    """OvO weights over the present classes, some pairs skipped."""
+    size = count[:k].astype(np.float64)
+    denom = np.outer(size, size)
+    w = np.divide(1.0, denom, out=np.zeros((k, k)), where=denom > 0)
+    w[rng.random((k, k)) < 0.1] = 0.0
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+@pytest.mark.parametrize("kind, k, spread", [("square", 12, 1.0), ("exp", 12, 1.0), ("hinge", 12, 1.0),
+                                             ("square", 32, 1.0), ("hinge", 32, 1.0), ("hinge", 32, 3.0)],
+                         ids=["square-12", "exp-12", "hinge-12", "square-32", "hinge-32", "hinge-32-sort"])
+def test_class_pair_gradients_do_not_depend_on_the_layout(kind, k, spread, sort_path):
+    # the engine reads (K, n) class rows; a transposed C-ordered (n, K) copy
+    # of the same scores must give the same gradient bytes
+    rng = RNG(80 + k)
+    n = 1500
+    bins = rng.integers(0, k + 1, n)  # k is the IGNORE bin
+    count = np.bincount(bins, minlength=k + 1)
+    w = _pair_weights(count, k, rng)
+    scores = rng.random((n, k))
+    scores[:, 1] *= spread  # spread > 1: channel 1 spans past the hinge margin
+    rows = np.ascontiguousarray(scores.T)
+    _, grad_rows = losses.class_pair_loss(rows, bins, count, w, kind)
+    _, grad_view = losses.class_pair_loss(scores.T, bins, count, w, kind)
+    assert grad_rows.shape == (k, n) and grad_rows.flags.c_contiguous
+    assert same_bits(grad_rows, grad_view)
+    assert len(sort_path) == 2 * (spread > 1.0)
+
+
+def test_losses_keep_the_class_major_layout_and_take_c_ordered_scores():
+    rng = RNG(61)
+    scores, labels = _instance(rng, n_images=3, h=5, w=4, k=6)
+    plain = [np.ascontiguousarray(s) for s in scores]
+    for fn in (ce_loss, combined_loss):
+        rep = fn([ScoreGrid(scores=s) for s in scores], labels)
+        for g, s in zip(rep.gradients, scores):
+            assert g.shape == s.shape and not g.flags.writeable
+            assert all(g[..., c].flags.c_contiguous for c in range(g.shape[-1]))
+        # plain C-ordered score arrays and grids over them: the same values
+        for other in (plain, [ScoreGrid(scores=s) for s in plain]):
+            again = fn(other, labels)
+            assert again.loss == rep.loss
+            assert all(np.array_equal(a, b) for a, b in zip(again.gradients, rep.gradients))
 
 
 def test_class_sum_keeps_numpys_order_and_the_tests_would_see_another(monkeypatch):
     rng = RNG(7)
-    for k in range(1, 65):
+    for k in list(range(1, 65)) + [127, 128, 129, 136, 200, 300]:  # above 128 numpy splits the axis
         x = rng.standard_normal((300, k)) * 10.0 ** rng.uniform(-6, 6, (300, k))
-        assert same_bits(losses._class_sum(x), x.sum(axis=-1)), k
-    # teeth: the columns added in plain sequence change bits of the samples above
+        assert same_bits(losses._class_sum(np.ascontiguousarray(x.T)), x.sum(axis=-1)), k
+    # teeth: the class rows added in plain sequence change bits of the samples above
 
     def sequential(x):
-        total = x[:, 0] + 0.0
-        for c in x.T[1:]:
-            total += c
+        total = x[0] + 0.0
+        for row in x[1:]:
+            total += row
         return total
 
     monkeypatch.setattr(losses, "_class_sum", sequential)
@@ -592,13 +650,14 @@ def test_ce_flat_index_is_bit_identical_to_fancy_indexing(lam):
         base = rng.standard_normal(scores.shape)
         base[::2, ::2] = 0.0
         base[1::2, ::2] = -0.0  # signed zeros in the buffer, where lam = 0 adds -0.0
-        g_ref, g_new = base.copy(), base.copy()
+        g_ref, g_new = base.copy(), np.ascontiguousarray(base.T)  # the engine's (K, n) class rows
         loss_ref = ce_into_ref(g_ref, scores, bins, k, lam)
-        loss_new = losses._ce_into(g_new, scores, bins, np.bincount(bins, minlength=k + 1), lam)
+        loss_new = losses._ce_into(g_new, np.ascontiguousarray(scores.T), bins,
+                                   np.bincount(bins, minlength=k + 1), lam)
         assert same_bits(np.float64(loss_new), np.float64(loss_ref))
-        assert same_bits(g_new, g_ref), (lam, bins.size)
+        assert same_bits(g_new.T, g_ref), (lam, bins.size)
     with pytest.raises(ValidationError):
-        losses._ce_into(np.zeros((3, k)), np.full((3, k), 0.2), np.full(3, k), np.array([0] * k + [3]), lam)
+        losses._ce_into(np.zeros((k, 3)), np.full((k, 3), 0.2), np.full(3, k), np.array([0] * k + [3]), lam)
 
 
 def test_combined_loss_parts_and_linearity():

@@ -109,6 +109,27 @@ def test_ovo_metric_matches_argsort_reference_on_generated_k19():
     assert ovo_auc_metric(scores, labels) == ovo_auc_metric_argsort(scores, labels)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_ovo_metric_counts_ties_at_zero_and_one_and_keys_past_a_segment(seed):
+    # saturated scores: most entries are exactly 0.0 or 1.0, so the searched
+    # keys tie in runs; class 0 scores 2.0 on its own channel, above every
+    # other class's channel-0 score, so its keys land past the end of those
+    # segments, and class 3 scores -1.0 there, before their start. Class
+    # sizes are unequal, so both search directions run.
+    rng = RNG(90 + seed)
+    k = 4
+    labels = [rng.choice([0, 1, 1, 2, 2, 2, 3, IGNORE], size=(6, 7)).astype(np.int32) for _ in range(3)]
+    scores = []
+    for lab in labels:
+        s = rng.choice([0.0, 0.0, 1.0, 1.0, 0.5, rng.random()], size=lab.shape + (k,))
+        s[..., 0] = np.where(lab == 0, 2.0, np.where(lab == 3, -1.0, s[..., 0]))
+        scores.append(s)
+    want = auc_metric_ref(scores, labels)
+    assert ovo_auc_metric(scores, labels) == want
+    planes = [np.moveaxis(np.moveaxis(s, -1, 0).copy(), 0, -1) for s in scores]  # the package's layout
+    assert ovo_auc_metric(planes, labels) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_ovo_metric_equals_pair_counting_oracle_property(data):
@@ -131,6 +152,17 @@ def test_ovo_metric_requires_two_classes():
 def test_argmax_ties_take_smaller_class():
     scores = [np.array([[[0.4, 0.4, 0.2], [0.1, 0.45, 0.45]]])]
     assert argmax_labels(scores)[0].tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 19, 64])
+def test_argmax_matches_numpy_on_both_layouts_with_ties(k):
+    rng = RNG(k)
+    s = rng.choice([0.0, -0.0, 0.5, 1.0, rng.random()], size=(7, 9, k))  # ties everywhere, signed zeros
+    want = s.argmax(axis=-1)
+    planes = np.moveaxis(np.moveaxis(s, -1, 0).copy(), 0, -1)
+    for scores in (s, planes):
+        got = argmax_labels([scores])[0]
+        assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 def test_argmax_rejects_non_finite_plain_scores():

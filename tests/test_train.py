@@ -67,6 +67,21 @@ def test_forward_shapes_and_simplex():
     assert np.allclose(scores[0].scores.sum(axis=-1), 1.0)
 
 
+def test_forward_scores_are_read_only_class_planes():
+    # class-last (H, W, K) views over class-major storage: each class's
+    # plane scores[..., c] is contiguous, and the values are the softmax of
+    # the C-ordered logits
+    model = init_model(3, 4, seed=1)
+    model.weights *= 40.0
+    feats = [f for f, _ in quick_items()[:2]]
+    for feat, grid in zip(feats, forward(model, feats)):
+        s = grid.scores
+        assert s.shape == (10, 10, 4) and not s.flags.writeable
+        assert all(s[..., c].flags.c_contiguous for c in range(4))
+        logits = feat.values.astype(np.float64) @ model.weights + model.bias
+        assert np.array_equal(s, softmax(logits))
+
+
 def test_forward_channel_mismatch():
     model = init_model(5, 4, seed=1)
     items = quick_items()
@@ -305,15 +320,15 @@ def float64_parameters(res):
     ("square", "ovo", "auc_ce", KNOWN_ANSWER_BANK,
      ("e90d2ff3eab3afffef6f82ecfc8039da17c1651e9da36469f898d152fb2eeaad",
       "c220f284b573506145b15efdb2225d2d6b85372eb8bb2937e5f4875ab27a6f6a",
-      "79bb37151d37f3a95d1bd3136971af88a78b53804cbf6dfa332fe81c9763e7b8")),
+      "050726544e34a359585ec06a4ebfbde4c7332ed436787f18c8902b78f93e139a")),
     ("square", "ovo", "ce", None,
      ("2cf9b7fca77c7b13f3b9bb24e7d675cf0e466f9dd71ddf8f3bf4193d5aae9193",
       "5e6872aa4a5218258e7d4c33bf7bfb1f782d4c6b7be0550698ae316e5879b512",
-      "5bc66aa1b5b9447fd2edeb637683959927c8463633e28a58ebfcf18fac9110c9")),
+      "1e3594ab30df54394c74a64f9e142ce298c7cbe891434457990bac4664228eb7")),
     ("hinge", "ova", "auc_ce", KNOWN_ANSWER_BANK,
      ("85af833d7e0dfc8ddad1087e009103919cf5ba720bda0f3924fe106e9fb9192b",
       "f091721d2a6b079a02e8c2eaac71ad799a5bb7582df961394265c9f01777dc15",
-      "bdf57a9cacaa038e316f37d45dea21e27615d93f04c23aa938c0aa5809381053")),
+      "bba95b120cbf670d0533ff8cbcd97e19166a54a7870140e6032a78fc2feb3d33")),
 ], ids=["square-ovo-auc_ce-bank", "ce", "hinge-ova-auc_ce-bank"])
 def test_training_files_known_answer(tmp_path, surrogate, mode, objective, bank, digests):
     # digests of metrics.csv, model.segm, and the float64 parameters and step
@@ -326,6 +341,11 @@ def test_training_files_known_answer(tmp_path, surrogate, mode, objective, bank,
     # hinge loss on softmax scores is a dot product whose last bits may move
     # with its summation order, so its step losses are left out; the
     # parameters, which follow its gradients bit for bit, stay in.
+    # The float64 digests moved once when the bias gradient became a sum of
+    # contiguous class rows, numpy's pairwise order (the square step losses
+    # also sum their last inner product in class-major order):
+    # square 79bb3715... -> 05072654..., ce 5bc66aa1... -> 1e3594ab...,
+    # hinge bdf57a9c... -> bba95b12...; the csv and checkpoint digests held.
     res = known_answer_run(tmp_path, surrogate, mode, objective, bank)
     assert (sum(s.pasted for s in res.steps) > 0) == (bank is not None)
     blobs = [(tmp_path / name).read_bytes() for name in ("metrics.csv", "model.segm")]
